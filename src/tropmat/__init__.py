@@ -5,8 +5,6 @@ from .minplus import (
     FineType,
     TropicalHalfspace,
     TropicalPoint,
-    c0_chart,
-    canonical,
     coarse_type,
     corner_point,
     fine_type,
@@ -54,7 +52,6 @@ from .cells import (
     CellRecord,
     CrossValidationReport,
     affine_cell_dim,
-    cell_dimension,
     cross_validate,
     enumerate_all_cells,
     enumerate_maximal_cells,
@@ -66,7 +63,6 @@ from .ideals import (
     divides,
     ideal_generators,
     ideal_membership,
-    ideal_text,
     is_minimal_generating,
     monomial_str,
     resolution_ranks,
@@ -77,7 +73,6 @@ from .halfspaces import (
     HalfspaceSystem,
     cornered_halfspaces,
     hypersimplex_halfspaces,
-    inequality_form,
     inequality_str,
     is_minimal_halfspace,
     verify_exterior_description,

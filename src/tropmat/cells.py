@@ -1,11 +1,21 @@
 """Cell complex of a tropical polytope, two ways.
 
-The brute force side enumerates cells as feasibility classes of strict
-difference constraint systems: fixing, for every generator, the set of
-coordinates where its minimum is attained cuts the torus into relatively
-open cells.  Feasibility, witnesses and forced equalities are all decided
-exactly with a lexicographic Bellman-Ford (rational value, strictness
-count) so that open and closed constraints never blur.
+The brute force side enumerates cells as feasibility classes of difference
+constraint systems: fixing, for every generator, the set of coordinates
+where its minimum is attained cuts the torus into relatively open cells.
+One exact kernel decides all of them.  It keeps the all-pairs shortest path
+matrix d of a closed system (d[u][v] bounds x_v - x_u from above) and adds
+the edges leaving one node in a single O(n^2) update.  Two coordinates are
+pinned when d[u][v] + d[v][u] == 0: a maximal cell pins no pair, a forced
+tie gives a nonempty face exactly when it is already a shortest path, and a
+cell's argmin sets and dimension are read off its matrix.
+
+Every emitted cell gets one witness, which depends only on the cell: with
+denominators cleared and n coordinates, the constraints forced tight weigh
+n*c and all others n*c - 1; the shortest path potentials from a virtual
+source, divided by n and the common denominator, lie in the relative
+interior (a simple cycle has at most n edges, so every cycle that is not
+tight keeps a nonnegative weight).
 
 The closed form side evaluates the basis counting formula for the coarse
 types of maximal cells and the hypersimplex specialisation.  cross_validate
@@ -18,8 +28,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb
-from typing import Iterable, Sequence
+from math import comb, lcm
+from typing import Sequence
 
 from .matroids import GroundMatroid, count_b
 from .minplus import FineType, TropicalPoint, fine_type
@@ -32,72 +42,83 @@ class CapExceeded(ValueError):
     """The candidate space (d+1)^n is larger than the configured cap."""
 
 
-def cell_dimension(t: FineType) -> int:
-    """Dimension of the cell with fine type t (component count formula)."""
-    return t.dimension()
-
-
 # ---------------------------------------------------------------------------
-# difference constraint systems
+# the shortest path kernel
 #
-# An edge (u, v) -> (c, s) encodes x_v - x_u <= c + s*eps for an
-# infinitesimal eps > 0; s is 0 for closed constraints and -1 for strict
-# ones.  Weights compare lexicographically.
+# dist[u][v] is the least upper bound on x_v - x_u implied by a closed system
+# of constraints x_v - x_u <= w, or None when nothing bounds it.  Rows are
+# shared between matrices and never mutated.
 
 
-def _lex_bf(n_nodes: int, edges: dict) -> list | None:
-    """Shortest path potentials from a virtual source, or None on a
-    lexicographically negative cycle (infeasible system)."""
-    dist = [(0, 0)] * n_nodes
-    items = list(edges.items())
-    for _ in range(n_nodes):
-        changed = False
-        for (u, v), (c, s) in items:
-            du = dist[u]
-            cand = (du[0] + c, du[1] + s)
-            if cand < dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            return dist
-    for (u, v), (c, s) in items:
-        du = dist[u]
-        if (du[0] + c, du[1] + s) < dist[v]:
+def _add_edges(dist: list, k: int, weights: Sequence) -> list | None:
+    """dist closed under extra edges k -> j of weight weights[j] (None for
+    no edge), or None when they close a negative cycle."""
+    row = list(dist[k])
+    for w, dj in zip(weights, dist):
+        if w is None:
+            continue
+        for b, c in enumerate(dj):
+            if c is not None and (row[b] is None or w + c < row[b]):
+                row[b] = w + c
+    if row[k] < 0:
+        return None
+    out = []
+    for a, da in enumerate(dist):
+        t = da[k]
+        if a == k or t is None:
+            out.append(row if a == k else da)
+            continue
+        new = []
+        for c, y in zip(da, row):
+            if y is not None and (c is None or t + y < c):
+                c = t + y
+            new.append(c)
+        out.append(new)
+    return out
+
+
+def _closure(weights: Sequence[Sequence]) -> list | None:
+    """Shortest path matrix of the edges u -> v of weight weights[u][v]."""
+    n = len(weights)
+    dist = [[0 if u == v else None for v in range(n)] for u in range(n)]
+    for k, w in enumerate(weights):
+        dist = _add_edges(dist, k, w)
+        if dist is None:
             return None
     return dist
 
 
-def _witness_coords(potentials: list, edges: dict) -> list[Fraction]:
-    """Substitute a concrete eps small enough that no slack constraint
-    becomes tight, then read coordinates off the potentials."""
-    bounds = []
-    for (u, v), (c, s) in edges.items():
-        da = potentials[v][0] - potentials[u][0]
-        ds = potentials[v][1] - potentials[u][1]
-        if da < c and ds > 0:
-            bounds.append(Fraction(c - da, ds))
-    eps = min(bounds) / 2 if bounds else Fraction(1)
-    return [p[0] + p[1] * eps for p in potentials]
+def _pinned(dist: list, u: int, v: int) -> bool:
+    a, b = dist[u][v], dist[v][u]
+    return a is not None and b is not None and a + b == 0
 
 
-def _merge(edges: dict, u: int, v: int, c, s: int) -> None:
-    w = (c, s)
-    old = edges.get((u, v))
-    if old is None or w < old:
-        edges[(u, v)] = w
+def _scaled_rows(gens: Sequence[TropicalPoint]) -> tuple[list[list[int]], int]:
+    """Generator coordinates times their common denominator, as ints (the
+    kernel then runs on integers, which is much faster than Fraction)."""
+    den = lcm(*(c.denominator for g in gens for c in g.coords))
+    return [[int(c * den) for c in g.coords] for g in gens], den
 
 
-def _coord_matrix(generators: Sequence[TropicalPoint]) -> list[list]:
-    """Raw coordinates; kept as ints when exact, which they are for the 0/1
-    generators of matroid polytopes (integer arithmetic is much faster)."""
-    return [
-        [int(c) if c.denominator == 1 else c for c in g.coords]
-        for g in generators
-    ]
+def _constraints(rows: list, arg_sets: Sequence[frozenset[int]],
+                 scale: int = 1, slack: int = 0) -> list:
+    """Edge weights of the closed cell of the argmin sets: for k in a
+    generator's set, x_j - x_k <= scale * (v_j - v_k), less slack when j is
+    outside that set."""
+    n = len(rows[0])
+    out = [[None] * n for _ in range(n)]
+    for row, s in zip(rows, arg_sets):
+        for k in s:
+            ok = out[k]
+            for j in range(n):
+                w = scale * (row[j] - row[k]) - (0 if j in s else slack)
+                if ok[j] is None or w < ok[j]:
+                    ok[j] = w
+    return out
 
 
 # ---------------------------------------------------------------------------
-# maximal cells by exhaustive search over argmin assignments
+# cell records
 
 
 @dataclass(frozen=True)
@@ -150,74 +171,6 @@ def _check_cap(gens: Sequence[TropicalPoint], cap: int) -> None:
         raise CapExceeded(f"{n}^{m} argmin assignments exceed cap {cap}")
 
 
-def _strict_edges_for(v: list, k: int, edges: dict) -> None:
-    # generator with coordinates v assigned to sector k (0-based):
-    # x_j - x_k < v_j - v_k for every other coordinate j
-    vk = v[k]
-    for j in range(len(v)):
-        if j != k:
-            _merge(edges, k, j, v[j] - vk, -1)
-
-
-def _record_from_assignment(
-    gens: Sequence[TropicalPoint], matrix: list, sigma: Sequence[int], edges: dict
-) -> CellRecord:
-    n = len(matrix[0])
-    potentials = _lex_bf(n, edges)
-    assert potentials is not None
-    witness = TropicalPoint(_witness_coords(potentials, edges)).canonical()
-    entries: list[set[int]] = [set() for _ in range(n)]
-    for g, k in enumerate(sigma):
-        entries[k].add(g + 1)
-    ft = FineType(entries)
-    if fine_type(witness, gens).entries != ft.entries:
-        raise AssertionError("witness does not reproduce the assignment type")
-    return CellRecord(ft, ft.dimension(), ft.is_bounded(), witness)
-
-
-def enumerate_maximal_cells(
-    p: PolytopeModel | Sequence[TropicalPoint], cap: int = DEFAULT_CAP
-) -> list[CellRecord]:
-    """All full dimensional cells of the complex, by exhaustive search.
-
-    Every map sending each generator to a single argmin coordinate is
-    tested for strict feasibility; infeasible prefixes are pruned, which
-    only skips assignments whose constraint systems are already
-    contradictory.  Feasible maps correspond bijectively to maximal cells.
-    Results are sorted by fine type.
-    """
-    gens = _as_generators(p)
-    _check_cap(gens, cap)
-    matrix = _coord_matrix(gens)
-    n_nodes = gens[0].n_coords
-    n_gens = len(matrix)
-    found: list[CellRecord] = []
-    sigma = [0] * n_gens
-
-    def descend(g: int, edges: dict) -> None:
-        if g == n_gens:
-            found.append(_record_from_assignment(gens, matrix, sigma, edges))
-            return
-        for k in range(n_nodes):
-            child = dict(edges)
-            _strict_edges_for(matrix[g], k, child)
-            if _lex_bf(n_nodes, child) is not None:
-                sigma[g] = k
-                descend(g + 1, child)
-
-    descend(0, {})
-    found.sort(key=lambda r: r.fine_type.key())
-    d = n_nodes - 1
-    for rec in found:
-        if rec.dim != d:
-            raise AssertionError("argmin assignment produced a non maximal cell")
-    return found
-
-
-# ---------------------------------------------------------------------------
-# the full complex by closing down from the maximal cells
-
-
 def _argmin_sets(ft: FineType) -> tuple[frozenset[int], ...]:
     """Per generator sets of argmin coordinates (0-based), from a fine type."""
     n_gens = max(ft.union())
@@ -228,94 +181,69 @@ def _argmin_sets(ft: FineType) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(s) for s in sets)
 
 
-def _closed_system(matrix: list, arg_sets: Sequence[frozenset[int]],
-                   extra: tuple[int, int] | None = None):
-    """Value edges and the set of equality directed edges for the closed
-    cell of an argmin assignment, optionally with one extra tie forced."""
-    n = len(matrix[0])
-    values: dict[tuple[int, int], object] = {}
-    hard: set[tuple[int, int]] = set()
-
-    def add_value(u, v, c, is_eq):
-        old = values.get((u, v))
-        if old is None or c < old:
-            values[(u, v)] = c
-        if is_eq:
-            hard.add((u, v))
-
-    for g, s in enumerate(arg_sets):
-        members = set(s)
-        if extra is not None and g == extra[0]:
-            members.add(extra[1])
-        rep = min(members)
-        row = matrix[g]
-        for b in members:
-            if b != rep:
-                c = row[b] - row[rep]
-                add_value(rep, b, c, True)
-                add_value(b, rep, -c, True)
-        for t in range(n):
-            if t not in members:
-                add_value(rep, t, row[t] - row[rep], False)
-    return values, hard
-
-
-def _floyd_warshall(n: int, values: dict) -> list | None:
-    dist = [[None] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
-    for (u, v), c in values.items():
-        if dist[u][v] is None or c < dist[u][v]:
-            dist[u][v] = c
-    for m in range(n):
-        dm = dist[m]
-        for i in range(n):
-            dim_ = dist[i][m]
-            if dim_ is None:
-                continue
-            di = dist[i]
-            for j in range(n):
-                if dm[j] is None:
-                    continue
-                c = dim_ + dm[j]
-                if di[j] is None or c < di[j]:
-                    di[j] = c
-    for i in range(n):
-        if dist[i][i] < 0:
-            return None
-    return dist
-
-
-def _face_cell(gens, matrix, arg_sets, i0: int, j0: int):
-    """Relative interior data of the face of the closed cell of arg_sets
-    obtained by forcing coordinate j0 into generator i0's argmin set.
-
-    Returns (fine type, witness point, argmin sets) or None when empty.
-    Constraints implied tight everywhere on the face stay closed; all other
-    inequalities are opened by an infinitesimal so the witness lands in the
-    relative interior, whose type is then read off directly.
-    """
-    n = len(matrix[0])
-    values, hard = _closed_system(matrix, arg_sets, (i0, j0))
-    dist = _floyd_warshall(n, values)
+def _record(gens: Sequence[TropicalPoint], rows: list, den: int,
+            arg_sets: Sequence[frozenset[int]]) -> CellRecord:
+    """The cell with these argmin sets, with its witness (module docstring)."""
+    n = len(rows[0])
+    dist = _closure(_constraints(rows, arg_sets, n, 1))
     if dist is None:
-        return None
-    lex_edges = {}
-    for (u, v), c in values.items():
-        if (u, v) in hard or (dist[v][u] is not None and dist[v][u] == -c):
-            lex_edges[(u, v)] = (c, 0)
-        else:
-            lex_edges[(u, v)] = (c, -1)
-    potentials = _lex_bf(n, lex_edges)
-    assert potentials is not None
-    witness = TropicalPoint(_witness_coords(potentials, lex_edges)).canonical()
-    ft = fine_type(witness, gens)
-    new_sets = _argmin_sets(ft)
-    for g, s in enumerate(arg_sets):
-        want = s | {j0} if g == i0 else s
-        if not want <= new_sets[g]:
-            raise AssertionError("face witness lost a required tie")
-    return ft, witness, new_sets
+        raise AssertionError("argmin sets of an empty cell")
+    witness = TropicalPoint(
+        Fraction(min(c for c in col if c is not None), n * den) for col in zip(*dist)
+    ).canonical()
+    ft = FineType([g + 1 for g, s in enumerate(arg_sets) if k in s] for k in range(n))
+    if fine_type(witness, gens).entries != ft.entries:
+        raise AssertionError("witness does not reproduce the cell type")
+    return CellRecord(ft, ft.dimension(), ft.is_bounded(), witness)
+
+
+# ---------------------------------------------------------------------------
+# maximal cells by exhaustive search over argmin assignments
+
+
+def enumerate_maximal_cells(
+    p: PolytopeModel | Sequence[TropicalPoint], cap: int = DEFAULT_CAP
+) -> list[CellRecord]:
+    """All full dimensional cells of the complex, by exhaustive search.
+
+    Every map sending each generator to a single argmin coordinate is
+    tested for strict feasibility: sending generator g to k adds the edges
+    k -> j, and a prefix is pruned once its closed system has a negative
+    cycle or pins two coordinates, which only skips assignments whose strict
+    systems are already contradictory.  Feasible maps correspond bijectively
+    to maximal cells.  Results are sorted by fine type.
+    """
+    gens = _as_generators(p)
+    _check_cap(gens, cap)
+    rows, den = _scaled_rows(gens)
+    n = len(rows[0])
+    found: list[CellRecord] = []
+    sigma = [0] * len(rows)
+
+    def descend(g: int, dist: list) -> None:
+        if g == len(rows):
+            found.append(_record(gens, rows, den, [frozenset((k,)) for k in sigma]))
+            return
+        row = rows[g]
+        for k in range(n):
+            child = _add_edges(dist, k, [c - row[k] for c in row])
+            # a zero cycle closed by the new edges passes through k
+            if child is None or any(_pinned(child, k, b) for b in range(n) if b != k):
+                continue
+            sigma[g] = k
+            descend(g + 1, child)
+
+    descend(0, _closure([[None] * n] * n))
+    found.sort(key=lambda r: r.fine_type.key())
+    d = n - 1
+    for rec in found:
+        if rec.dim != d:
+            raise AssertionError("argmin assignment produced a non maximal cell")
+    return found
+
+
+# ---------------------------------------------------------------------------
+# the full complex by closing down from the maximal cells
 
 
 def enumerate_all_cells(
@@ -323,40 +251,45 @@ def enumerate_all_cells(
 ) -> CellComplexModel:
     """Every cell of the complex, of all dimensions.
 
-    Faces are generated by tightening one inequality of a known cell at a
-    time and reading the type at a relative interior witness, which also
-    picks up any ties the tightening forces.  Cells are deduplicated by
-    fine type; the f-vector counts them by dimension 0..d.
+    Faces are generated by forcing one more coordinate j into generator g's
+    argmin set, whose member rep stays in it.  The face is nonempty iff
+    d[rep][j] == v_j - v_rep; its matrix comes from adding the edges leaving
+    j, and its argmin sets are the coordinates k with d[k][rep] == v_rep - v_k
+    for each generator's rep.  Cells are deduplicated by argmin sets; the
+    f-vector counts them by dimension 0..d.
     """
     gens = _as_generators(p)
     maximal = enumerate_maximal_cells(gens, cap)
-    matrix = _coord_matrix(gens)
-    n = gens[0].n_coords
-    visited: dict[tuple, CellRecord] = {}
-    queue: deque[tuple[frozenset[int], ...]] = deque()
+    rows, den = _scaled_rows(gens)
+    n = len(rows[0])
+    visited: dict[tuple[frozenset[int], ...], CellRecord] = {}
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    queue: deque = deque()
     for rec in maximal:
-        visited[rec.fine_type.key()] = rec
-        queue.append(_argmin_sets(rec.fine_type))
+        arg_sets = _argmin_sets(rec.fine_type)
+        visited[arg_sets] = rec
+        queue.append(arg_sets)
     while queue:
         arg_sets = queue.popleft()
-        for i0, s in enumerate(arg_sets):
-            for j0 in range(n):
-                if j0 in s:
+        dist = _closure(_constraints(rows, arg_sets))
+        reps = [min(s) for s in arg_sets]
+        for g, (s, rep) in enumerate(zip(arg_sets, reps)):
+            row = rows[g]
+            for j in range(n):
+                if j in s or dist[rep][j] != row[j] - row[rep]:
                     continue
-                direct = tuple(
-                    fs | {j0} if g == i0 else fs for g, fs in enumerate(arg_sets)
+                if arg_sets[:g] + (s | {j},) + arg_sets[g + 1:] in visited:
+                    continue
+                face = _add_edges(dist, j, [c - row[j] for c in row])
+                new_sets = tuple(
+                    frozenset(k for k in range(n) if face[k][r] == v[r] - v[k])
+                    for v, r in zip(rows, reps)
                 )
-                if _sets_key(direct, n) in visited:
-                    continue
-                face = _face_cell(gens, matrix, arg_sets, i0, j0)
-                if face is None:
-                    continue
-                ft, witness, new_sets = face
-                key = ft.key()
-                if key in visited:
-                    continue
-                visited[key] = CellRecord(ft, ft.dimension(), ft.is_bounded(), witness)
-                queue.append(new_sets)
+                if new_sets not in visited:
+                    # one object per distinct set keeps the stored keys small
+                    new_sets = tuple(shared.setdefault(x, x) for x in new_sets)
+                    visited[new_sets] = _record(gens, rows, den, new_sets)
+                    queue.append(new_sets)
     cells = tuple(sorted(visited.values(), key=lambda r: (r.dim, r.fine_type.key())))
     d = n - 1
     fv = [0] * (d + 1)
@@ -365,48 +298,19 @@ def enumerate_all_cells(
     return CellComplexModel(n, cells, tuple(fv))
 
 
-def _sets_key(arg_sets: Sequence[frozenset[int]], n: int) -> tuple:
-    entries: list[set[int]] = [set() for _ in range(n)]
-    for g, s in enumerate(arg_sets):
-        for k in s:
-            entries[k].add(g + 1)
-    return tuple(tuple(sorted(e)) for e in entries)
-
-
 def affine_cell_dim(p: PolytopeModel | Sequence[TropicalPoint], ft: FineType) -> int:
     """Affine dimension of the cell of type ft, from its constraint system.
 
-    Coordinates whose difference is pinned by the closed system (shortest
-    path there and back sums to zero) fall in one affine class; the
-    dimension is the number of classes minus one.  Must agree with
-    cell_dimension for every realized type.
+    Pinned coordinates fall in one affine class (pinning is an equivalence
+    relation); the dimension is the number of classes minus one.  Must agree
+    with FineType.dimension for every realized type.
     """
-    gens = _as_generators(p)
-    matrix = _coord_matrix(gens)
-    n = gens[0].n_coords
-    values, _ = _closed_system(matrix, _argmin_sets(ft))
-    dist = _floyd_warshall(n, values)
+    rows, _ = _scaled_rows(_as_generators(p))
+    dist = _closure(_constraints(rows, _argmin_sets(ft)))
     if dist is None:
         raise ValueError("type is not realized: empty constraint system")
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (
-                dist[u][v] is not None
-                and dist[v][u] is not None
-                and dist[u][v] + dist[v][u] == 0
-            ):
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-    return len({find(i) for i in range(n)}) - 1
+    n = len(dist)
+    return sum(not any(_pinned(dist, u, v) for v in range(u)) for u in range(n)) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .cells import (
+    DEFAULT_CAP,
     CapExceeded,
     cross_validate,
     enumerate_all_cells,
@@ -53,7 +54,6 @@ from .minplus import (
     TropicalHalfspace,
     TropicalPoint,
     fine_type,
-    rational_to_json,
     to_rational,
 )
 from .polytopes import (
@@ -66,8 +66,6 @@ from .polytopes import (
     skeleton_dot,
 )
 
-DEFAULT_CAP = 10**7
-
 BUNDLED_FIXTURES = ("running-example", "k3", "k4", "u23", "u24")
 
 
@@ -79,12 +77,8 @@ class CheckFailure(RuntimeError):
 # formatting
 
 
-def _fmt_q(q: Fraction) -> str:
-    return str(q)
-
-
 def _fmt_point(pt: TropicalPoint) -> str:
-    return "(" + ", ".join(_fmt_q(c) for c in pt.coords) + ")"
+    return "(" + ", ".join(str(c) for c in pt.coords) + ")"
 
 
 def _fmt_set(s) -> str:
@@ -98,10 +92,6 @@ def _fmt_type(ft) -> str:
     else:
         body = ", ".join(_fmt_set(e) for e in ft.entries)
     return "(" + body + ")"
-
-
-def _point_json(pt: TropicalPoint) -> list:
-    return [rational_to_json(c) for c in pt.coords]
 
 
 def _emit(args, text_lines, json_obj) -> None:
@@ -157,7 +147,7 @@ def _cmd_nonbases(args) -> int:
 def _cmd_generators(args) -> int:
     p = _load_polytope(args)
     lines = [f"v{i + 1} = {_fmt_point(v)}" for i, v in enumerate(p.generators)]
-    _emit(args, lines, {"generators": [_point_json(v) for v in p.generators]})
+    _emit(args, lines, {"generators": [v.to_json() for v in p.generators]})
     return 0
 
 
@@ -175,7 +165,7 @@ def _cmd_corners(args) -> int:
     for i in range(1, p.n_coords + 1):
         c = corner(p, i)
         lines.append(f"c_{i} = {_fmt_point(c)}")
-        objs.append({"index": i, "point": _point_json(c)})
+        objs.append({"index": i, "point": c.to_json()})
     _emit(args, lines, {"corners": objs})
     return 0
 
@@ -192,7 +182,7 @@ def _cmd_pseudovertices(args) -> int:
             {
                 "label": label,
                 "support": sorted(pv.support),
-                "point": _point_json(pv.point),
+                "point": pv.point.to_json(),
                 "type": pv.fine_type.to_json(),
             }
         )
@@ -215,7 +205,7 @@ def _cmd_bounded_cells(args) -> int:
             {
                 "sequence": list(bc.sequence),
                 "basis_index": bc.basis_index,
-                "chain": [_point_json(pt) for pt in bc.chain],
+                "chain": [pt.to_json() for pt in bc.chain],
                 "interior_type": bc.interior_type.to_json(),
             }
         )

@@ -236,7 +236,3 @@ def inequality_str(h: TropicalHalfspace) -> str:
     inside = sorted(h.sectors)
     outside = [j for j in range(1, apex.n_coords + 1) if j not in h.sectors]
     return f"{side(inside)} <= {side(outside)}"
-
-
-def inequality_form(system: HalfspaceSystem) -> list[str]:
-    return [inequality_str(h) for h in system]

@@ -84,7 +84,3 @@ def monomial_str(exponents: Sequence[int], zero_based: bool = False) -> str:
         if e > 0
     ]
     return "*".join(parts) if parts else "1"
-
-
-def ideal_text(ideal: MonomialIdeal, zero_based: bool = False) -> str:
-    return "\n".join(monomial_str(g, zero_based) for g in ideal.generators)

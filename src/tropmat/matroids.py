@@ -10,10 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Iterable, Sequence
-
-EXHAUSTIVE_LIMIT = 10**6
 
 
 class GraphError(ValueError):
@@ -220,33 +217,6 @@ def uniform_matroid(rank: int, ground_size: int) -> GroundMatroid:
     )
 
 
-def _spanning_trees_exhaustive(graph: LabeledGraph) -> list[frozenset[int]]:
-    vidx = {v: i for i, v in enumerate(graph.vertices)}
-    n_vertices = len(graph.vertices)
-    k = n_vertices - 1
-    out = []
-    for combo in combinations(range(len(graph.edges)), k):
-        parent = list(range(n_vertices))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        acyclic = True
-        for ei in combo:
-            u, v = graph.edges[ei]
-            ru, rv = find(vidx[u]), find(vidx[v])
-            if ru == rv:
-                acyclic = False
-                break
-            parent[ru] = rv
-        if acyclic:
-            out.append(frozenset(ei + 1 for ei in combo))
-    return out
-
-
 def _spanning_trees_dc(n_vertices: int, edges: list[tuple[int, int, int]]) -> Iterable[frozenset[int]]:
     """Deletion/contraction enumeration on a multigraph given as
     (u, v, label) triples with integer vertices 0..n_vertices-1."""
@@ -285,21 +255,11 @@ def _spanning_trees_dc(n_vertices: int, edges: list[tuple[int, int, int]]) -> It
 
 
 def enumerate_bases(graph: LabeledGraph) -> GroundMatroid:
-    """All spanning trees of the graph as a matroid over the edge labels.
-
-    Uses the exhaustive subset scan while C(d+1, k) stays small and a
-    deletion/contraction recursion beyond that.
-    """
-    k = len(graph.vertices) - 1
-    if comb(graph.n_edges, k) <= EXHAUSTIVE_LIMIT:
-        trees = _spanning_trees_exhaustive(graph)
-    else:
-        vidx = {v: i for i, v in enumerate(graph.vertices)}
-        triples = [
-            (vidx[u], vidx[v], i + 1) for i, (u, v) in enumerate(graph.edges)
-        ]
-        trees = list(_spanning_trees_dc(len(graph.vertices), triples))
-    return matroid_from_bases(graph.n_edges, trees)
+    """All spanning trees of the graph as a matroid over the edge labels,
+    by deletion/contraction."""
+    vidx = {v: i for i, v in enumerate(graph.vertices)}
+    triples = [(vidx[u], vidx[v], i + 1) for i, (u, v) in enumerate(graph.edges)]
+    return matroid_from_bases(graph.n_edges, _spanning_trees_dc(len(graph.vertices), triples))
 
 
 def non_bases(m: GroundMatroid) -> list[frozenset[int]]:

@@ -119,14 +119,6 @@ class TropicalPoint:
         return cls(arr)
 
 
-def canonical(p: TropicalPoint) -> TropicalPoint:
-    return p.canonical()
-
-
-def c0_chart(p: TropicalPoint) -> tuple[Fraction, ...]:
-    return p.c0()
-
-
 def _same_torus(points: Iterable[TropicalPoint]) -> int:
     it = iter(points)
     try:

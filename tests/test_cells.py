@@ -11,7 +11,6 @@ from tropmat import (
     TropicalPoint,
     affine_cell_dim,
     build_polytope,
-    cell_dimension,
     cross_validate,
     enumerate_all_cells,
     enumerate_maximal_cells,
@@ -74,7 +73,7 @@ class TestFullComplex:
         for rec in running_complex.cells:
             direct = fine_type(rec.witness, running_polytope.generators)
             assert direct.entries == rec.fine_type.entries
-            assert rec.dim == cell_dimension(rec.fine_type)
+            assert rec.dim == rec.fine_type.dimension()
             assert rec.bounded == all(rec.fine_type.entries)
             assert rec.bounded == in_tconv(rec.witness, running_polytope.generators)
 
@@ -90,6 +89,28 @@ class TestFullComplex:
 
     def test_u23_complex(self, u23_polytope):
         assert enumerate_all_cells(u23_polytope).f_vector == (4, 12, 9)
+
+    def test_rational_generators(self, running_polytope, running_complex):
+        # x -> x/3 + shift maps the complex of the running example onto the
+        # complex of its image, cell for cell and type for type
+        shift = (Fraction(1, 2), Fraction(-2, 7), 0, Fraction(5, 3), Fraction(-1, 6))
+        gens = [
+            TropicalPoint(c / 3 + s for c, s in zip(g.coords, shift))
+            for g in running_polytope.generators
+        ]
+        cx = enumerate_all_cells(gens)
+        assert cx.f_vector == F_VECTOR
+        assert {rec.fine_type for rec in cx.cells} == {
+            rec.fine_type for rec in running_complex.cells
+        }
+        for rec in cx.cells:
+            assert fine_type(rec.witness, gens).entries == rec.fine_type.entries
+            assert affine_cell_dim(gens, rec.fine_type) == rec.dim
+
+    def test_k4_complex(self, k4_matroid):
+        cx = enumerate_all_cells(build_polytope(k4_matroid), cap=6**16)
+        assert cx.f_vector == (38, 307, 981, 1598, 1329, 444)
+        assert sum((-1) ** i * c for i, c in enumerate(cx.f_vector)) == -1
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_single_generator_gives_the_sector_fan(self, d):

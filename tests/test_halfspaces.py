@@ -9,7 +9,6 @@ from tropmat import (
     cornered_halfspaces,
     halfspace_contains,
     hypersimplex_halfspaces,
-    inequality_form,
     inequality_str,
     is_minimal_halfspace,
     uniform_matroid,
@@ -136,7 +135,7 @@ class TestCornered:
 class TestRendering:
     def test_corner_and_zero_apex_forms(self):
         system = hypersimplex_halfspaces(2, 2)
-        assert inequality_form(system) == [
+        assert [inequality_str(h) for h in system] == [
             "x_1 - 1 <= min(x_2, x_3)",
             "x_2 - 1 <= min(x_1, x_3)",
             "x_3 - 1 <= min(x_1, x_2)",

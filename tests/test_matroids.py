@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -19,11 +20,37 @@ from tropmat import (
     parse_bases,
     uniform_matroid,
 )
-from tropmat.matroids import (
-    MatroidError,
-    _spanning_trees_dc,
-    _spanning_trees_exhaustive,
-)
+from tropmat.matroids import LabeledGraph, MatroidError, _spanning_trees_dc
+
+
+def _spanning_trees_exhaustive(graph: LabeledGraph) -> list[frozenset[int]]:
+    """Oracle for the deletion/contraction enumeration: scan every
+    (|V|-1)-subset of edges and keep the acyclic ones."""
+    vidx = {v: i for i, v in enumerate(graph.vertices)}
+    n_vertices = len(graph.vertices)
+    k = n_vertices - 1
+    out = []
+    for combo in combinations(range(len(graph.edges)), k):
+        parent = list(range(n_vertices))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        acyclic = True
+        for ei in combo:
+            u, v = graph.edges[ei]
+            ru, rv = find(vidx[u]), find(vidx[v])
+            if ru == rv:
+                acyclic = False
+                break
+            parent[ru] = rv
+        if acyclic:
+            out.append(frozenset(ei + 1 for ei in combo))
+    return out
+
 
 RUNNING_BASES = [
     {1, 2, 4},
