@@ -27,11 +27,10 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import comb, lcm
 from typing import Sequence
 
-from .matroids import GroundMatroid, count_b
+from .matroids import GroundMatroid, basis_avoiding_prefixes
 from .minplus import FineType, TropicalPoint, fine_type
 from .polytopes import PolytopeModel
 
@@ -324,25 +323,32 @@ def maximal_cell_coarse_types(m: GroundMatroid) -> list[tuple[tuple[int, ...], t
     contains a basis (d' from 0 to d-k+1) and every further coordinate
     i_{d'+1}, the type puts b_{i_1,empty} + b_{empty,{i_1..i_{d'+1}}} at
     i_1, b_{i_l,{i_1..i_{l-1}}} at i_l for l >= 2, and zero elsewhere.
-    Returns (full tuple, coarse type) pairs.
+    Returns (full tuple, coarse type) pairs, by length and then
+    lexicographically.
+
+    One walk over the tuples in lexicographic preorder carries the bases
+    missing the tuple, so every count is a difference of two list
+    lengths: with a_l the number of bases missing (i_1..i_l),
+    b_{i_l,{i_1..i_{l-1}}} = a_{l-1} - a_l.
     """
     n = m.ground_size
-    out = []
-    for dp in range(0, n - m.rank + 1):
-        for seq in permutations(m.ground(), dp):
-            s = set(seq)
-            if not any(b.isdisjoint(s) for b in m.bases):
-                continue
-            for last in m.ground():
-                if last in s:
-                    continue
-                full = seq + (last,)
-                t = [0] * n
-                t[full[0] - 1] = count_b(m, {full[0]}, ()) + count_b(m, (), full)
-                for l in range(1, dp + 1):
-                    t[full[l] - 1] = count_b(m, {full[l]}, full[:l])
-                out.append((full, tuple(t)))
-    return out
+    rows_by_len: list[list] = [[] for _ in range(n + 1)]
+    sizes: list[int] = []      # sizes[l] = a_l along the current tuple
+    for seq, avoid, kids in basis_avoiding_prefixes(m, n):
+        dp = len(seq)
+        del sizes[dp:]
+        sizes.append(len(avoid))
+        base = [0] * n
+        for l in range(dp):
+            base[seq[l] - 1] = sizes[l] - sizes[l + 1]
+        head = seq[0] - 1 if dp else None
+        rows = rows_by_len[dp]
+        for last, child in kids:
+            t = base.copy()
+            t[last - 1] = sizes[dp] - len(child)
+            t[last - 1 if head is None else head] += len(child)
+            rows.append((seq + (last,), tuple(t)))
+    return [row for rows in rows_by_len for row in rows]
 
 
 def hypersimplex_coarse_types(k: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -407,8 +413,13 @@ class CrossValidationReport:
 
 def cross_validate(p: PolytopeModel, cap: int = DEFAULT_CAP) -> CrossValidationReport:
     """Check the coarse type formula against the brute force enumeration."""
-    cells = enumerate_maximal_cells(p, cap)
-    formula = maximal_cell_coarse_types(p.matroid)
+    return compare_coarse_types(enumerate_maximal_cells(p, cap), p.matroid)
+
+
+def compare_coarse_types(cells: Sequence[CellRecord], m: GroundMatroid) -> CrossValidationReport:
+    """Compare the coarse types of already enumerated maximal cells with
+    the formula, as multisets."""
+    formula = maximal_cell_coarse_types(m)
     emu = Counter(rec.coarse for rec in cells)
     fmu = Counter(t for _, t in formula)
     only_e = tuple(sorted((emu - fmu).items()))

@@ -2,8 +2,11 @@
 
 A coarse type (t_1, ..., t_{d+1}) is read as the exponent vector of a
 monomial in d+1 variables.  The generators below come from the closed form
-coarse type formula; by construction they form a minimal generating set,
-which is what is_minimal_generating verifies.
+coarse type formula.  Each maximal cell's coarse type sums to the number of
+bases, so the generators share one degree, and distinct monomials of one
+degree never divide each other: is_minimal_generating settles that case in
+one pass over the degrees and falls back to testing every ordered pair of
+generators only when the degrees differ.
 """
 
 from __future__ import annotations
@@ -55,8 +58,14 @@ def ideal_generators(m: GroundMatroid) -> MonomialIdeal:
 
 
 def is_minimal_generating(ideal: MonomialIdeal) -> bool:
-    """No generator strictly divides another."""
+    """No generator strictly divides another.
+
+    Generators are distinct, so when they all have one degree none divides
+    another; otherwise every ordered pair is tested.
+    """
     gens = ideal.generators
+    if len({sum(g) for g in gens}) <= 1:
+        return True
     for i, a in enumerate(gens):
         for j, b in enumerate(gens):
             if i != j and divides(a, b):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -160,14 +160,35 @@ class GroundMatroid:
 
 
 def _exchange_ok(bases: Sequence[frozenset[int]]) -> bool:
-    bset = set(bases)
-    for bu in bases:
-        for bv in bases:
-            if bu == bv:
+    """Basis exchange on bitmasks.
+
+    N(B, u) is the set of v outside B with B - u + v a basis.  A pair
+    (B, B') violates the axiom iff some u in B - B' has N(B, u) disjoint
+    from B', i.e. iff B' misses every element of X = {u} | N(B, u).  The
+    bases meeting X are collected as a bitset over basis positions, so one
+    comparison with the full bitset tests (B, B') for every B' at once.
+    """
+    bit = {e: 1 << i for i, e in enumerate(sorted(frozenset().union(*bases)))}
+    masks = [sum(bit[e] for e in b) for b in bases]
+    mset = set(masks)
+    # meets[x]: positions of the bases containing the element with bit x
+    meets = dict.fromkeys(bit.values(), 0)
+    for j, b in enumerate(masks):
+        for x in meets:
+            if b & x:
+                meets[x] |= 1 << j
+    every = (1 << len(masks)) - 1
+    for b in masks:
+        for u in meets:
+            if not u & b:
                 continue
-            for u in bu - bv:
-                if not any((bu - {u}) | {v} in bset for v in bv - bu):
-                    return False
+            rest = b ^ u
+            met = meets[u]
+            for v in meets:
+                if not v & b and rest | v in mset:
+                    met |= meets[v]
+            if met != every:
+                return False
     return True
 
 
@@ -282,6 +303,31 @@ def count_b(m: GroundMatroid, include: Iterable[int], avoid: Iterable[int]) -> i
     if out_of_range:
         raise ValueError(f"elements {sorted(out_of_range)} leave the ground set")
     return sum(1 for b in m.bases if inc <= b and not (avd & b))
+
+
+def basis_avoiding_prefixes(m: GroundMatroid, max_len: int) -> Iterator[tuple]:
+    """Duplicate-free coordinate tuples whose complement contains a basis,
+    in lexicographic preorder, up to length max_len.
+
+    Yields (seq, avoid, kids): avoid lists the bases missing seq as
+    bitmasks (bit e for element e), and kids pairs every further element
+    i outside seq with the bases missing seq + (i,), or is empty at
+    max_len.  b_{i,S}, the number of bases containing i and missing S,
+    is len(avoid) - len(child) for the child of i.  The walk descends
+    into the nonempty kids only, which are exactly the longer tuples.
+    """
+    n = m.ground_size
+    stack = [((), [sum(1 << e for e in b) for b in m.bases])]
+    while stack:
+        seq, avoid = stack.pop()
+        kids = []
+        if len(seq) < max_len:
+            for i in range(1, n + 1):
+                if i not in seq:
+                    bit = 1 << i
+                    kids.append((i, [b for b in avoid if not b & bit]))
+        yield seq, avoid, kids
+        stack.extend((seq + (i,), child) for i, child in reversed(kids) if child)
 
 
 def parse_bases(text: str) -> GroundMatroid:

@@ -11,10 +11,9 @@ cross-check them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Sequence
 
-from .matroids import GroundMatroid
+from .matroids import GroundMatroid, basis_avoiding_prefixes
 from .minplus import FineType, TropicalPoint
 
 
@@ -145,18 +144,13 @@ def pseudovertices(p: PolytopeModel) -> list[PseudoVertex]:
 
 
 def valid_sequences(p: PolytopeModel, length: int) -> list[tuple[int, ...]]:
-    """Duplicate-free coordinate tuples whose complement contains a basis."""
-    d_plus_1 = p.n_coords
-    max_len = d_plus_1 - p.matroid.rank
+    """Duplicate-free coordinate tuples whose complement contains a basis,
+    in lexicographic order."""
+    max_len = p.n_coords - p.matroid.rank
     if not 0 <= length <= max_len:
         raise ValueError(f"sequence length must lie in 0..{max_len}")
-    bases = p.matroid.bases
-    out = []
-    for seq in permutations(range(1, d_plus_1 + 1), length):
-        s = set(seq)
-        if any(b.isdisjoint(s) for b in bases):
-            out.append(seq)
-    return out
+    return [seq for seq, _, _ in basis_avoiding_prefixes(p.matroid, length)
+            if len(seq) == length]
 
 
 def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
@@ -166,28 +160,49 @@ def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
     tropical convex hull of the chain 0, e_{i_1}, ..., e_{i_1..i_m} ending at
     the generator of B, and its interior type peels the origin type along
     the sequence while the coordinates of B keep exactly the index of B.
+
+    The sequences come from one walk over their prefixes in lexicographic
+    preorder, so the peeled generators of a prefix are computed once and
+    shared by every cell whose sequence extends it.  A chain point depends
+    only on the set of the prefix and is built once per set.
     """
     m = p.matroid
     n = p.n_coords
     t0 = p.origin_type.entries
     full_len = n - m.rank
+    index = {b: i for i, b in enumerate(m.bases, start=1)}
+    ground = frozenset(range(1, n + 1))
+    points: dict[frozenset[int], TropicalPoint] = {}
+    # entry k of each list belongs to the prefix of length k: its chain
+    # point, the generators its coordinates eat, and the entry of its last
+    # coordinate (t0 minus what the shorter prefixes ate)
+    chain: list[TropicalPoint] = []
+    eaten: list[frozenset[int]] = []
+    peeled: list[frozenset[int] | None] = []
     cells = []
-    for seq in valid_sequences(p, full_len):
-        basis = frozenset(range(1, n + 1)) - set(seq)
-        bindex = m.basis_index(basis)
-        chain = tuple(
-            _support_point(n, frozenset(range(1, n + 1)) - set(seq[:r]))
-            for r in range(full_len + 1)
-        )
+    for seq, _, _ in basis_avoiding_prefixes(m, full_len):
+        r = len(seq)
+        del chain[r:], eaten[r:], peeled[r:]
+        support = ground - set(seq)
+        if support not in points:
+            points[support] = _support_point(n, support)
+        chain.append(points[support])
+        if r:
+            gens = t0[seq[-1] - 1]
+            peeled.append(gens - eaten[-1])
+            eaten.append(eaten[-1] | gens)
+        else:
+            peeled.append(None)
+            eaten.append(frozenset())
+        if r < full_len:
+            continue
         entries: list[frozenset[int]] = [frozenset()] * n
-        eaten: frozenset[int] = frozenset()
-        for i in seq:
-            entries[i - 1] = t0[i - 1] - eaten
-            eaten |= t0[i - 1]
-        for j in basis:
-            entries[j - 1] = t0[j - 1] - eaten
+        for i, entry in zip(seq, peeled[1:]):
+            entries[i - 1] = entry
+        for j in support:
+            entries[j - 1] = t0[j - 1] - eaten[r]
         cells.append(
-            BoundedCell(seq, basis, bindex, chain, FineType(entries))
+            BoundedCell(seq, support, index[support], tuple(chain), FineType(entries))
         )
     return cells
 

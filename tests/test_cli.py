@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,14 @@ DATA = Path(__file__).parent / "data"
 def graph_path(tmp_path_factory):
     text = resources.files("tropmat").joinpath("data/running_example.json").read_text()
     path = tmp_path_factory.mktemp("cli") / "running.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.fixture(scope="session")
+def k4_path(tmp_path_factory):
+    text = resources.files("tropmat").joinpath("data/k4.json").read_text()
+    path = tmp_path_factory.mktemp("cli") / "k4.json"
     path.write_text(text)
     return str(path)
 
@@ -155,6 +164,56 @@ class TestDeterminism:
         obj = json.loads(one)
         assert obj["f_vector"] == [14, 78, 172, 180, 73]
         assert len(obj["cells"]) == 517
+
+
+# sha256 of the JSON output, recorded from the permutation and count_b
+# implementation of the closed forms that the prefix walk replaced
+FROZEN_DIGESTS = {
+    ("running", "coarse-types --formula"):
+        "cb49f79435a840d0820ff9aecfd6a815ecca2db3736f52c4d0d8bffa6240f906",
+    ("running", "bounded-cells"):
+        "c9b84e39fd55eb850757d55ee4c8f7e8ab08828270215de61c149412155644a7",
+    ("running", "ideal"):
+        "b08675ececf5e7a826d61faf4261920421baea5ef3f2fc0c797174c33a455ca0",
+    ("running", "bases"):
+        "16ad8daca68575bbe518f2ecde8e2410228d5e8c0dc4bd3c74f3e6302e5ea6b1",
+    ("k4", "coarse-types --formula"):
+        "b0ac06ce967c4300c335c7ab8b772ed21e136895509eb675ca6a15ca39faf020",
+    ("k4", "bounded-cells"):
+        "b761ba844c3d0e0652d1778a9d9c7fb4dd7d4550c93f73cd22e4c5df6d453674",
+    ("k4", "ideal"):
+        "17fdc7db8f1465409732207eb0784c861dd5c566a8041fbd522feb8c4c805c31",
+    ("k4", "bases"):
+        "31e40c4f9312fd499e7b316934c633d5975a682c5d8e9d057db0fd88a391ec0e",
+}
+
+
+class TestFrozenBytes:
+    @pytest.mark.parametrize("graph, command", sorted(FROZEN_DIGESTS))
+    def test_json_digest(self, capsys, graph_path, k4_path, graph, command):
+        path = graph_path if graph == "running" else k4_path
+        code, out, _ = run(capsys, *command.split(), "--format", "json", "--graph", path)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_DIGESTS[graph, command]
+
+
+class TestCheckSearchesOnce:
+    def test_one_maximal_cell_search(self, capsys, monkeypatch):
+        import tropmat.cells as cells
+
+        calls = []
+        original = cells.enumerate_maximal_cells
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cells, "enumerate_maximal_cells", counting)
+        monkeypatch.setattr("tropmat.cli.enumerate_maximal_cells", counting)
+        code, out, _ = run(capsys, "check", "--uniform", "2", "3")
+        assert code == 0
+        assert out.splitlines()[-1] == "all 1 checks passed"
+        assert len(calls) == 1
 
 
 class TestFailurePaths:
