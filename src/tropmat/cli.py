@@ -28,6 +28,7 @@ from .cells import (
     maximal_cell_coarse_types,
 )
 from .halfspaces import (
+    DEFAULT_PROBE_BUDGET,
     ContainmentError,
     HalfspaceSystem,
     hypersimplex_halfspaces,
@@ -96,11 +97,13 @@ def _fmt_type(ft) -> str:
     return "(" + body + ")"
 
 
-def _emit(args, text_lines, json_obj) -> None:
+def _emit(args, text, obj) -> None:
+    """Print the lines text() or the JSON of obj(), whichever --format asks
+    for; the other form is never built."""
     if args.format == "json":
-        print(json.dumps(json_obj, sort_keys=True))
+        print(json.dumps(obj(), sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
 
 
@@ -132,86 +135,85 @@ def _load_polytope(args) -> PolytopeModel:
 
 def _cmd_bases(args) -> int:
     m = _load_matroid(args)
-    lines = [f"ground size {m.ground_size}, rank {m.rank}, {len(m.bases)} bases"]
-    lines += [f"B{i + 1} = {_fmt_set(b)}" for i, b in enumerate(m.bases)]
-    _emit(args, lines, m.to_json_obj())
+    head = f"ground size {m.ground_size}, rank {m.rank}, {len(m.bases)} bases"
+    _emit(args, lambda: [head] + [f"B{i + 1} = {_fmt_set(b)}" for i, b in enumerate(m.bases)],
+          m.to_json_obj)
     return 0
 
 
 def _cmd_nonbases(args) -> int:
     m = _load_matroid(args)
     nb = non_bases(m)
-    lines = [f"{len(nb)} non bases"] + [_fmt_set(s) for s in nb]
-    _emit(args, lines, {"non_bases": [sorted(s) for s in nb]})
+    _emit(args, lambda: [f"{len(nb)} non bases"] + [_fmt_set(s) for s in nb],
+          lambda: {"non_bases": [sorted(s) for s in nb]})
     return 0
 
 
 def _cmd_generators(args) -> int:
     p = _load_polytope(args)
-    lines = [f"v{i + 1} = {_fmt_point(v)}" for i, v in enumerate(p.generators)]
-    _emit(args, lines, {"generators": [v.to_json() for v in p.generators]})
+    _emit(args, lambda: [f"v{i + 1} = {_fmt_point(v)}" for i, v in enumerate(p.generators)],
+          lambda: {"generators": [v.to_json() for v in p.generators]})
     return 0
 
 
 def _cmd_origin_type(args) -> int:
     p = _load_polytope(args)
     ft = p.origin_type
-    lines = [f"type at 0: {_fmt_type(ft)}", f"coarse: {ft.coarse()}"]
-    _emit(args, lines, ft.to_json())
+    _emit(args, lambda: [f"type at 0: {_fmt_type(ft)}", f"coarse: {ft.coarse()}"],
+          ft.to_json)
     return 0
 
 
 def _cmd_corners(args) -> int:
     p = _load_polytope(args)
-    lines, objs = [], []
-    for i in range(1, p.n_coords + 1):
-        c = corner(p, i)
-        lines.append(f"c_{i} = {_fmt_point(c)}")
-        objs.append({"index": i, "point": c.to_json()})
-    _emit(args, lines, {"corners": objs})
+    corners = [(i, corner(p, i)) for i in range(1, p.n_coords + 1)]
+    _emit(args, lambda: [f"c_{i} = {_fmt_point(c)}" for i, c in corners],
+          lambda: {"corners": [{"index": i, "point": c.to_json()} for i, c in corners]})
     return 0
 
 
 def _cmd_pseudovertices(args) -> int:
     p = _load_polytope(args)
-    pvs = pseudovertices(p)
-    lines = [f"{len(pvs)} pseudovertices"]
-    objs = []
-    for pv in pvs:
-        label = pseudovertex_label(p, pv)
-        lines.append(f"{label}: {_fmt_point(pv.point)} type {_fmt_type(pv.fine_type)}")
-        objs.append(
+    pvs = [(pseudovertex_label(p, pv), pv) for pv in pseudovertices(p)]
+    _emit(
+        args,
+        lambda: [f"{len(pvs)} pseudovertices"] + [
+            f"{label}: {_fmt_point(pv.point)} type {_fmt_type(pv.fine_type)}"
+            for label, pv in pvs
+        ],
+        lambda: {"pseudovertices": [
             {
                 "label": label,
                 "support": sorted(pv.support),
                 "point": pv.point.to_json(),
                 "type": pv.fine_type.to_json(),
             }
-        )
-    _emit(args, lines, {"pseudovertices": objs})
+            for label, pv in pvs
+        ]},
+    )
     return 0
 
 
 def _cmd_bounded_cells(args) -> int:
     p = _load_polytope(args)
     cells = maximal_bounded_cells(p)
-    lines = [f"{len(cells)} maximal bounded cells"]
-    objs = []
-    for bc in cells:
-        seq = "(" + ", ".join(str(i) for i in bc.sequence) + ")"
-        lines.append(
-            f"sequence {seq} basis B{bc.basis_index}"
+    _emit(
+        args,
+        lambda: [f"{len(cells)} maximal bounded cells"] + [
+            f"sequence ({', '.join(str(i) for i in bc.sequence)}) basis B{bc.basis_index}"
             f" interior type {_fmt_type(bc.interior_type)}"
-        )
-        objs.append(
+            for bc in cells
+        ],
+        lambda: {"bounded_cells": [
             {
                 "sequence": list(bc.sequence),
                 "basis_index": bc.basis_index,
                 "chain": [pt.to_json() for pt in bc.chain],
                 "interior_type": bc.interior_type.to_json(),
             }
-        )
-    _emit(args, lines, {"bounded_cells": objs})
+            for bc in cells
+        ]},
+    )
     return 0
 
 
@@ -222,16 +224,16 @@ def _cmd_complex(args) -> int:
     if args.with_empty_face:
         fv = [1] + fv
     if args.fvector:
-        _emit(args, [str(fv)], fv)
+        _emit(args, lambda: [str(fv)], lambda: fv)
         return 0
-    lines = [f"f-vector {fv}", f"{len(cx.cells)} cells"]
-    for rec in cx.cells:
-        tag = "bounded" if rec.bounded else "unbounded"
-        lines.append(f"dim {rec.dim} {tag} type {_fmt_type(rec.fine_type)}")
     _emit(
         args,
-        lines,
-        {
+        lambda: [f"f-vector {fv}", f"{len(cx.cells)} cells"] + [
+            f"dim {rec.dim} {'bounded' if rec.bounded else 'unbounded'}"
+            f" type {_fmt_type(rec.fine_type)}"
+            for rec in cx.cells
+        ],
+        lambda: {
             "n_coords": cx.n_coords,
             "f_vector": fv,
             "cells": [rec.to_json_obj() for rec in cx.cells],
@@ -247,40 +249,32 @@ def _cmd_coarse_types(args) -> int:
     if args.formula:
         m = _load_matroid(args)
         rows = maximal_cell_coarse_types(m)
-        lines = [f"{len(rows)} coarse types from the counting formula"]
-        lines += [f"sequence {seq}: {t}" for seq, t in rows]
-        _emit(
-            args,
-            lines,
-            [{"sequence": list(seq), "coarse": list(t)} for seq, t in rows],
-        )
+        head = f"{len(rows)} coarse types from the counting formula"
+        _emit(args, lambda: [head] + [f"sequence {seq}: {t}" for seq, t in rows],
+              lambda: [{"sequence": list(seq), "coarse": list(t)} for seq, t in rows])
         return 0
     p = _load_polytope(args)
     if args.brute:
         recs = enumerate_maximal_cells(p, cap=args.cap)
-        lines = [f"{len(recs)} maximal cells by enumeration"]
-        lines += [str(rec.coarse) for rec in recs]
-        _emit(args, lines, [list(rec.coarse) for rec in recs])
+        _emit(args, lambda: [f"{len(recs)} maximal cells by enumeration"]
+              + [str(rec.coarse) for rec in recs], lambda: [list(rec.coarse) for rec in recs])
         return 0
     report = cross_validate(p, cap=args.cap)
-    _emit(args, [report.summary()], report.to_json_obj())
+    _emit(args, lambda: [report.summary()], report.to_json_obj)
     return 0 if report.ok else 2
 
 
 def _cmd_ideal(args) -> int:
     m = _load_matroid(args)
     ideal = ideal_generators(m)
-    shift = 0 if args.zero_based_vars else 1
-    lines = [f"{len(ideal.generators)} generators in {ideal.n_vars} variables"]
-    lines += [
-        monomial_str(t, zero_based=args.zero_based_vars) for t in ideal.generators
-    ]
     _emit(
         args,
-        lines,
-        {
+        lambda: [f"{len(ideal.generators)} generators in {ideal.n_vars} variables"] + [
+            monomial_str(t, zero_based=args.zero_based_vars) for t in ideal.generators
+        ],
+        lambda: {
             "n_vars": ideal.n_vars,
-            "first_var": shift,
+            "first_var": 0 if args.zero_based_vars else 1,
             "minimal": is_minimal_generating(ideal),
             "generators": [list(t) for t in ideal.generators],
         },
@@ -290,9 +284,8 @@ def _cmd_ideal(args) -> int:
 
 def _cmd_hypersimplex_halfspaces(args) -> int:
     system = hypersimplex_halfspaces(args.k, args.d)
-    lines = [f"{len(system)} halfspaces for the uniform matroid ({args.k}, {args.d})"]
-    lines += [inequality_str(h) for h in system]
-    _emit(args, lines, system.to_json_obj())
+    head = f"{len(system)} halfspaces for the uniform matroid ({args.k}, {args.d})"
+    _emit(args, lambda: [head] + [inequality_str(h) for h in system], system.to_json_obj)
     return 0
 
 
@@ -309,11 +302,8 @@ def _cmd_check_minimal(args) -> int:
     sectors = frozenset(int(s) for s in args.sectors.split(","))
     h = TropicalHalfspace(apex, sectors)
     minimal = is_minimal_halfspace(h, p.generators)
-    _emit(
-        args,
-        [f"{inequality_str(h)}: {'minimal' if minimal else 'not minimal'}"],
-        {"inequality": inequality_str(h), "minimal": minimal},
-    )
+    _emit(args, lambda: [f"{inequality_str(h)}: {'minimal' if minimal else 'not minimal'}"],
+          lambda: {"inequality": inequality_str(h), "minimal": minimal})
     return 0
 
 
@@ -324,11 +314,10 @@ def _cmd_verify_exterior(args) -> int:
     p = build_polytope(uniform_matroid(k, d + 1))
     system = hypersimplex_halfspaces(k, d)
     report = verify_exterior_description(system, p.generators, probe_budget=args.probe_budget)
-    lines = [
+    _emit(args, lambda: [
         f"{report.probes} probes, {len(report.counterexamples)} counterexamples",
         "exterior description verified" if report.ok else "exterior description FAILED",
-    ]
-    _emit(args, lines, report.to_json_obj())
+    ], report.to_json_obj)
     return 0 if report.ok else 2
 
 
@@ -372,12 +361,7 @@ def _check_polytope(name: str, m, cap: int) -> list[str]:
                  f"{name}: bounded cell of wrong dimension")
     notes.append(f"{len(pvs)} pseudovertices, {len(bounded)} bounded cells")
 
-    try:
-        cx = enumerate_all_cells(p, cap=cap)
-    except CapExceeded as exc:
-        notes.append(f"complex skipped ({exc})")
-        return notes
-
+    cx = enumerate_all_cells(p, cap=cap)
     report = compare_coarse_types([rec for rec in cx.cells if rec.dim == d], m)
     _require(report.ok, f"{name}: formula and enumeration disagree")
     _require(cx.counts_ok(), f"{name}: f-vector does not count the cells")
@@ -455,12 +439,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_input=True, **kwargs):
+    def add(name, func, needs_input=True, enumerates=False, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         sp.set_defaults(func=func)
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="largest admissible assignment space (d+1)^n")
+        if enumerates:
+            sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                            help="limit on the maximal-cell search's nodes and,"
+                            " separately, on the face closure's candidates")
         if needs_input:
             sp.add_argument("--graph", help="graph JSON file")
             sp.add_argument("--bases", help="basis list JSON file")
@@ -476,12 +462,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add("pseudovertices", _cmd_pseudovertices, help="0-dimensional cells")
     add("bounded-cells", _cmd_bounded_cells, help="maximal bounded cells")
 
-    sp = add("complex", _cmd_complex, help="the full cell complex")
+    sp = add("complex", _cmd_complex, enumerates=True, help="the full cell complex")
     sp.add_argument("--fvector", action="store_true", help="print only the f-vector")
     sp.add_argument("--with-empty-face", action="store_true",
                     help="prepend the empty face to the f-vector")
 
-    sp = add("coarse-types", _cmd_coarse_types, help="maximal cell coarse types")
+    sp = add("coarse-types", _cmd_coarse_types, enumerates=True, help="maximal cell coarse types")
     sp.add_argument("--formula", action="store_true")
     sp.add_argument("--brute", action="store_true")
     sp.add_argument("--cross-validate", action="store_true")
@@ -500,12 +486,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("verify-exterior", _cmd_verify_exterior,
              help="probe a halfspace description against membership")
-    sp.add_argument("--probe-budget", type=int, default=20000)
+    sp.add_argument("--probe-budget", type=int, default=DEFAULT_PROBE_BUDGET)
 
-    sp = add("skeleton", _cmd_skeleton, help="1-skeleton of the bounded subcomplex")
+    sp = add("skeleton", _cmd_skeleton, enumerates=True,
+             help="1-skeleton of the bounded subcomplex")
     sp.add_argument("--dot", action="store_true", help="emit Graphviz DOT (the default)")
 
-    add("check", _cmd_check, help="run the full invariant suite")
+    add("check", _cmd_check, enumerates=True, help="run the full invariant suite")
     return parser
 
 

@@ -200,8 +200,11 @@ def verify_exterior_description(
     Probes are every half-integer chart point of [-2, 2]^d plus the
     pseudovertices of the polytope perturbed along every unit direction,
     at most probe_budget points in total.  A sound description produces
-    no counterexamples.
+    no counterexamples.  A budget below 1 is rejected with ValueError:
+    a check that probes nothing verifies nothing.
     """
+    if probe_budget < 1:
+        raise ValueError(f"probe budget must be at least 1, got {probe_budget}")
     d = generators[0].n_coords - 1
     count = 0
     bad = []

@@ -245,23 +245,10 @@ def _spanning_trees_dc(n_vertices: int, edges: list[tuple[int, int, int]]) -> It
         yield frozenset()
         return
     live = [(u, v, lab) for u, v, lab in edges if u != v]
-    # connectivity on the contracted graph
-    adj: dict[int, set[int]] = {}
-    verts: set[int] = set()
-    for u, v, _ in live:
-        verts.update((u, v))
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    if len(verts) < n_vertices or not verts:
-        return
-    stack = [next(iter(verts))]
-    seen = {stack[0]}
-    while stack:
-        for w in adj.get(stack.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) < n_vertices:
+    # the contracted graph has n_vertices vertices; one missing from every
+    # edge is isolated
+    verts = list({x for u, v, _ in live for x in (u, v)})
+    if len(verts) < n_vertices or not _connected(verts, [(u, v) for u, v, _ in live]):
         return
     u0, v0, lab0 = live[0]
     # contract: merge v0 into u0

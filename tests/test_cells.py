@@ -41,10 +41,18 @@ class TestMaximalCells:
             assert rec.dim == 4
 
     def test_cap(self, running_polytope, k4_matroid):
-        with pytest.raises(CapExceeded):
+        # the running example's search visits 322 nodes, its face closure
+        # tries 6120 face candidates
+        with pytest.raises(CapExceeded, match="^maximal-cell search: 101 nodes exceed cap 100$"):
             enumerate_maximal_cells(running_polytope, cap=100)
-        with pytest.raises(CapExceeded):
-            enumerate_maximal_cells(build_polytope(k4_matroid))
+        with pytest.raises(CapExceeded, match="322 nodes exceed cap 321"):
+            enumerate_maximal_cells(running_polytope, cap=321)
+        assert len(enumerate_maximal_cells(running_polytope, cap=322)) == 73
+        assert len(enumerate_maximal_cells(running_polytope, cap=1000)) == 73
+        with pytest.raises(CapExceeded,
+                           match="^face closure: 1001 face candidates exceed cap 1000$"):
+            enumerate_all_cells(running_polytope, cap=1000)
+        assert len(enumerate_maximal_cells(build_polytope(k4_matroid))) == 444
 
     def test_uniform_counts(self, u23_polytope, u24_polytope, u33_polytope):
         assert len(enumerate_maximal_cells(u23_polytope)) == 9
@@ -108,7 +116,7 @@ class TestFullComplex:
             assert affine_cell_dim(gens, rec.fine_type) == rec.dim
 
     def test_k4_complex(self, k4_matroid):
-        cx = enumerate_all_cells(build_polytope(k4_matroid), cap=6**16)
+        cx = enumerate_all_cells(build_polytope(k4_matroid))
         assert cx.f_vector == (38, 307, 981, 1598, 1329, 444)
         assert sum((-1) ** i * c for i, c in enumerate(cx.f_vector)) == -1
 

@@ -144,6 +144,15 @@ class TestHappyPaths:
         assert code == 0
         assert out.splitlines()[-1] == "all 1 checks passed"
 
+    def test_check_k4_runs_the_complex(self, capsys, k4_path):
+        code, out, _ = run(capsys, "check", "--graph", k4_path)
+        assert code == 0
+        first, last = out.splitlines()
+        assert first.startswith("input: ok (")
+        assert "f-vector (38, 307, 981, 1598, 1329, 444)" in first
+        assert "OK: 444 cells, formula == enumeration" in first
+        assert last == "all 1 checks passed"
+
     def test_corners_and_generators_and_pv_and_bounded(self, capsys, graph_path):
         for cmd, needle in [
             ("corners", "c_1 = (1, 0, 0, 0, 0)"),
@@ -265,6 +274,34 @@ class TestFailurePaths:
         )
         assert code == 1
         assert "exceed" in err
+        assert "maximal-cell search" in err and "cap 100" in err
+
+    def test_check_beyond_the_cap_fails(self, capsys):
+        code, out, err = run(capsys, "check", "--uniform", "2", "3", "--cap", "1000")
+        assert code == 1
+        assert "ok" not in out
+        assert err.strip() == "error: face closure: 1001 face candidates exceed cap 1000"
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_probe_budget_below_one(self, capsys, budget):
+        code, out, err = run(
+            capsys, "verify-exterior", "--uniform", "2", "3", "--probe-budget", budget
+        )
+        assert code == 1
+        assert out == ""
+        assert "probe budget" in err
+
+    def test_cap_only_where_enumeration_runs(self):
+        import argparse
+
+        from tropmat.cli import _build_parser
+
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        with_cap = {name for name, sp in sub.choices.items()
+                    if any("--cap" in a.option_strings for a in sp._actions)}
+        assert len(sub.choices) == 15
+        assert with_cap == {"complex", "coarse-types", "skeleton", "check"}
 
 
 class TestConsoleScript:

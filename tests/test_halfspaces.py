@@ -120,6 +120,12 @@ class TestExteriorVerification:
         )
         assert report.probes <= 10
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_rejected(self, budget):
+        gens = build_polytope(uniform_matroid(2, 3)).generators
+        with pytest.raises(ValueError, match="probe budget"):
+            verify_exterior_description(hypersimplex_halfspaces(2, 2), gens, probe_budget=budget)
+
 
 class TestCornered:
     def test_running_example_corner_system(self, running_polytope):
