@@ -96,8 +96,9 @@ def _pinned(dist: list, u: int, v: int) -> bool:
 def _scaled_rows(gens: Sequence[TropicalPoint]) -> tuple[list[list[int]], int]:
     """Generator coordinates times their common denominator, as ints (the
     kernel then runs on integers, which is much faster than Fraction)."""
-    den = lcm(*(c.denominator for g in gens for c in g.coords))
-    return [[int(c * den) for c in g.coords] for g in gens], den
+    forms = [g.int_form for g in gens]
+    den = lcm(*(d for _, d in forms))
+    return [[c * (den // d) for c in ints] for ints, d in forms], den
 
 
 def _constraints(rows: list, arg_sets: Sequence[frozenset[int]],

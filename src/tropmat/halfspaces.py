@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from typing import Iterable, Sequence
 
 from .matroids import uniform_matroid
@@ -147,13 +147,9 @@ class ExteriorReport:
         }
 
 
-def _half_integer_lattice(d: int, budget: int):
+def _half_integer_lattice(d: int):
     steps = [Fraction(v, 2) for v in range(-4, 5)]
-    count = 0
     for chart in product(steps, repeat=d):
-        if count >= budget:
-            return
-        count += 1
         yield TropicalPoint.from_c0(chart)
 
 
@@ -197,20 +193,21 @@ def verify_exterior_description(
 ) -> ExteriorReport:
     """Probe the claim: a point lies in the hull iff it lies in the system.
 
-    Probes are every half-integer chart point of [-2, 2]^d plus the
-    pseudovertices of the polytope perturbed along every unit direction,
-    at most probe_budget points in total.  A sound description produces
-    no counterexamples.  A budget below 1 is rejected with ValueError:
-    a check that probes nothing verifies nothing.
+    Probes are the pseudovertices of the polytope perturbed along every
+    unit direction, then every half-integer chart point of [-2, 2]^d, at
+    most probe_budget points in total.  The pseudovertex probes come first
+    because they sit where the hull and a wrong system part; the lattice
+    alone has 9^d points and would fill the budget from d = 5 on.  A sound
+    description produces no counterexamples.  A budget below 1 is rejected
+    with ValueError: a check that probes nothing verifies nothing.
     """
     if probe_budget < 1:
         raise ValueError(f"probe budget must be at least 1, got {probe_budget}")
     d = generators[0].n_coords - 1
     count = 0
     bad = []
-    probes = list(_half_integer_lattice(d, probe_budget))
-    probes.extend(_pseudovertex_probes(generators))
-    for x in probes[:probe_budget]:
+    probes = chain(_pseudovertex_probes(generators), _half_integer_lattice(d))
+    for x in islice(probes, probe_budget):
         count += 1
         inside = in_tconv(x, generators)
         in_sys = system.contains(x)

@@ -5,6 +5,13 @@ modulo adding a constant to every coordinate.  Tropical addition is min and
 tropical multiplication is +.  All arithmetic is exact; ties between minima
 carry the combinatorial content (types), so floats are rejected outright.
 
+Coordinates are stored as Fractions.  The predicates (fine_type, in_tconv,
+halfspace_contains) compare exact integers instead: each point carries one
+cached integer form (ints, den) with coords[i] == ints[i] / den and den the
+lcm of the coordinate denominators, computed on first use.  Comparing
+v_k - x_k across k is the same as comparing vs[k]*dx - xs[k]*dv, because
+the common factor dx*dv is positive, so every argmin and every tie is kept.
+
 Indexing is 1-based throughout the public interface: coordinates are
 1..d+1 and generators are 1..n.
 """
@@ -13,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -66,6 +75,13 @@ class TropicalPoint:
     @property
     def n_coords(self) -> int:
         return len(self.coords)
+
+    @cached_property
+    def int_form(self) -> tuple[tuple[int, ...], int]:
+        """(ints, den) with coords[i] == ints[i] / den, den the lcm of the
+        coordinate denominators (so den > 0); computed once, on first use."""
+        den = lcm(*(c.denominator for c in self.coords))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coords), den
 
     @property
     def dim(self) -> int:
@@ -238,14 +254,16 @@ def fine_type(x: TropicalPoint, generators: Sequence[TropicalPoint]) -> FineType
     """Fine type of x with respect to the generators.
 
     Generator i belongs to entry k iff v_{i,k} - x_k <= v_{i,j} - x_j for
-    every coordinate j.
+    every coordinate j, compared on the integer forms (module docstring).
     """
     if not generators:
         raise ValueError("fine_type needs at least one generator")
     n = _same_torus([x, *generators])
+    xs, dx = x.int_form
     entries: list[set[int]] = [set() for _ in range(n)]
     for idx, v in enumerate(generators, start=1):
-        diffs = [vc - xc for vc, xc in zip(v.coords, x.coords)]
+        vs, dv = v.int_form
+        diffs = [vk * dx - xk * dv for vk, xk in zip(vs, xs)]
         m = min(diffs)
         for k, dk in enumerate(diffs):
             if dk == m:
@@ -293,15 +311,15 @@ class TropicalHalfspace:
 
 
 def halfspace_contains(h: TropicalHalfspace, x: TropicalPoint) -> bool:
+    """min over I of (x_i - apex_i) <= min over the rest, compared on the
+    integer forms scaled by the positive da*dx (module docstring)."""
     if h.apex.n_coords != x.n_coords:
         raise DimensionMismatch("halfspace and point live in different tori")
-    form = [-c for c in h.apex.coords]
-    lhs = min(form[i - 1] + x.coords[i - 1] for i in h.sectors)
-    rhs = min(
-        form[j] + x.coords[j]
-        for j in range(x.n_coords)
-        if (j + 1) not in h.sectors
-    )
+    as_, da = h.apex.int_form
+    xs, dx = x.int_form
+    terms = [xi * da - ai * dx for ai, xi in zip(as_, xs)]
+    lhs = min(terms[i - 1] for i in h.sectors)
+    rhs = min(t for j, t in enumerate(terms, start=1) if j not in h.sectors)
     return lhs <= rhs
 
 

@@ -14,6 +14,7 @@ from tropmat import (
     uniform_matroid,
     verify_exterior_description,
 )
+from tropmat.halfspaces import DEFAULT_PROBE_BUDGET
 
 
 def as_pairs(system):
@@ -112,6 +113,20 @@ class TestExteriorVerification:
                 h for i, h in enumerate(system) if i != skip
             )
             assert not verify_exterior_description(sub, gens).ok
+
+    def test_pseudovertex_probes_survive_a_full_lattice(self):
+        # at d = 5 the half-integer lattice alone (9^5 points) exceeds the
+        # budget; only the pseudovertex probes catch this missing member
+        gens = build_polytope(uniform_matroid(2, 6)).generators
+        system = hypersimplex_halfspaces(2, 5)
+        sub = HalfspaceSystem(
+            h for h in system
+            if not (h.apex == TropicalPoint.origin(6) and h.sectors == {1, 2, 3, 4, 5})
+        )
+        assert len(sub) == len(system) - 1
+        report = verify_exterior_description(sub, gens)
+        assert not report.ok
+        assert report.probes == DEFAULT_PROBE_BUDGET
 
     def test_probe_budget_is_respected(self):
         gens = build_polytope(uniform_matroid(2, 3)).generators

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -192,3 +193,113 @@ class TestCorner:
             corner_point(GENS, 0)
         with pytest.raises(ValueError):
             corner_point(GENS, 4)
+
+
+# The Fraction bodies that fine_type and halfspace_contains had before they
+# moved to the integer forms; kept as oracles.
+def fraction_fine_type(x, generators):
+    n = x.n_coords
+    entries = [set() for _ in range(n)]
+    for idx, v in enumerate(generators, start=1):
+        diffs = [vc - xc for vc, xc in zip(v.coords, x.coords)]
+        m = min(diffs)
+        for k, dk in enumerate(diffs):
+            if dk == m:
+                entries[k].add(idx)
+    return FineType(entries)
+
+
+def fraction_halfspace_contains(h, x):
+    form = [-c for c in h.apex.coords]
+    lhs = min(form[i - 1] + x.coords[i - 1] for i in h.sectors)
+    rhs = min(
+        form[j] + x.coords[j]
+        for j in range(x.n_coords)
+        if (j + 1) not in h.sectors
+    )
+    return lhs <= rhs
+
+
+# a coarse grid with mixed denominators makes ties (the combinatorial
+# content) frequent
+grid = st.sampled_from([Fraction(v, q) for q in (1, 2, 3, 4, 6) for v in range(-6, 7)])
+
+
+def grid_points(n_coords: int):
+    return st.lists(grid, min_size=n_coords, max_size=n_coords).map(TropicalPoint)
+
+
+@st.composite
+def point_and_generators(draw):
+    n = draw(st.integers(2, 5))
+    x = draw(grid_points(n))
+    gens = draw(st.lists(grid_points(n), min_size=1, max_size=6))
+    return x, gens
+
+
+@st.composite
+def halfspace_and_point(draw):
+    n = draw(st.integers(2, 5))
+    apex = draw(grid_points(n))
+    sectors = draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
+    return TropicalHalfspace(apex, sectors), draw(grid_points(n))
+
+
+class TestIntegerForm:
+    @given(st.lists(rationals, min_size=1, max_size=6))
+    def test_invariants(self, coords):
+        p = TropicalPoint(coords)
+        ints, den = p.int_form
+        assert den > 0
+        assert all(isinstance(c, int) for c in ints)
+        assert tuple(Fraction(c, den) for c in ints) == p.coords
+        assert den == lcm(*(c.denominator for c in p.coords))
+
+    def test_computed_once_and_only_on_use(self):
+        p = TropicalPoint.of("1/2", "-2/3", 5)
+        assert "int_form" not in vars(p)
+        first = p.int_form
+        assert first == ((3, -4, 30), 6)
+        assert p.int_form is first
+
+    def test_point_stays_immutable_with_unchanged_identity(self):
+        p = TropicalPoint.of("1/2", 0, 3)
+        q = p.translate(Fraction(5, 7))
+        before = (hash(p), hash(q), p == q)
+        p.int_form, q.int_form
+        assert (hash(p), hash(q), p == q) == before == (hash(p), hash(p), True)
+        assert p.int_form != q.int_form
+        with pytest.raises(AttributeError):
+            p.coords = (0, 0, 0)
+        with pytest.raises(AttributeError):
+            p.int_form = ((0, 0, 0), 1)
+
+
+class TestIntegerPredicatesMatchFractionOracles:
+    @settings(max_examples=300)
+    @given(point_and_generators(), grid, grid)
+    def test_fine_type(self, case, c, e):
+        x, gens = case
+        expected = fraction_fine_type(x, gens).entries
+        assert fine_type(x, gens).entries == expected
+        # other representatives of the same classes
+        shifted = [v.translate(e) for v in gens]
+        assert fine_type(x.translate(c), shifted).entries == expected
+        assert in_tconv(x, gens) == all(expected)
+
+    @settings(max_examples=300)
+    @given(halfspace_and_point(), grid, grid)
+    def test_halfspace_contains(self, case, c, e):
+        h, x = case
+        expected = fraction_halfspace_contains(h, x)
+        assert halfspace_contains(h, x) == expected
+        moved = TropicalHalfspace(h.apex.translate(e), h.sectors)
+        assert halfspace_contains(moved, x.translate(c)) == expected
+
+    def test_ties_across_denominators(self):
+        gens = [TropicalPoint.of("1/2", "1/3", 0), TropicalPoint.of(0, "-1/6", "-1/2")]
+        x = TropicalPoint.of("1/3", "1/6", "-1/6")
+        assert fine_type(x, gens).entries == fraction_fine_type(x, gens).entries == (
+            frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2}))
+        h = TropicalHalfspace(TropicalPoint.of("1/2", "1/3", 0), {1})
+        assert halfspace_contains(h, x) and fraction_halfspace_contains(h, x)
