@@ -5,7 +5,6 @@ from .minplus import (
     FineType,
     TropicalHalfspace,
     TropicalPoint,
-    coarse_type,
     corner_point,
     fine_type,
     halfspace_contains,
@@ -38,7 +37,6 @@ from .polytopes import (
     PolytopeModel,
     PseudoVertex,
     build_polytope,
-    corner,
     interior_point,
     maximal_bounded_cells,
     pseudovertex_label,

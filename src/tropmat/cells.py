@@ -39,7 +39,8 @@ DEFAULT_CAP = 10**6   # CPython 3.11: 0.12-0.25 ms per search node, 65 us per fa
 
 class CapExceeded(ValueError):
     """A search did more work than the cap allows: more nodes in the
-    maximal-cell search, or more face candidates in the face closure."""
+    maximal-cell search or the exterior check, or more face candidates in
+    the face closure."""
 
 
 # ---------------------------------------------------------------------------

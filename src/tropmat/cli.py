@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .cells import (
     DEFAULT_CAP,
@@ -28,7 +28,6 @@ from .cells import (
     maximal_cell_coarse_types,
 )
 from .halfspaces import (
-    DEFAULT_PROBE_BUDGET,
     ContainmentError,
     HalfspaceSystem,
     hypersimplex_halfspaces,
@@ -56,13 +55,13 @@ from .matroids import (
 from .minplus import (
     TropicalHalfspace,
     TropicalPoint,
+    corner_point,
     fine_type,
     to_rational,
 )
 from .polytopes import (
     PolytopeModel,
     build_polytope,
-    corner,
     maximal_bounded_cells,
     pseudovertex_label,
     pseudovertices,
@@ -166,7 +165,7 @@ def _cmd_origin_type(args) -> int:
 
 def _cmd_corners(args) -> int:
     p = _load_polytope(args)
-    corners = [(i, corner(p, i)) for i in range(1, p.n_coords + 1)]
+    corners = [(i, corner_point(p.generators, i)) for i in range(1, p.n_coords + 1)]
     _emit(args, lambda: [f"c_{i} = {_fmt_point(c)}" for i, c in corners],
           lambda: {"corners": [{"index": i, "point": c.to_json()} for i, c in corners]})
     return 0
@@ -313,7 +312,7 @@ def _cmd_verify_exterior(args) -> int:
     k, d = args.uniform
     p = build_polytope(uniform_matroid(k, d + 1))
     system = hypersimplex_halfspaces(k, d)
-    report = verify_exterior_description(system, p.generators, probe_budget=args.probe_budget)
+    report = verify_exterior_description(system, p.generators)
     _emit(args, lambda: [
         f"{report.probes} probes, {len(report.counterexamples)} counterexamples",
         "exterior description verified" if report.ok else "exterior description FAILED",
@@ -381,6 +380,12 @@ def _check_polytope(name: str, m, cap: int) -> list[str]:
     _require(resolution_ranks(cx) == tuple(reversed(cx.f_vector)),
              f"{name}: resolution ranks disagree with the f-vector")
     notes.append(f"f-vector {cx.f_vector}, {report.summary()}")
+
+    if len(m.bases) == comb(m.ground_size, m.rank):
+        ext = verify_exterior_description(hypersimplex_halfspaces(m.rank, d), p.generators)
+        _require(ext.ok, f"{name}: hypersimplex halfspaces with"
+                 f" {len(ext.counterexamples)} counterexamples")
+        notes.append(f"{ext.probes} probes, exterior description verified")
     return notes
 
 
@@ -484,9 +489,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--apex", required=True, help="comma separated coordinates")
     sp.add_argument("--sectors", required=True, help="comma separated sector indices")
 
-    sp = add("verify-exterior", _cmd_verify_exterior,
-             help="probe a halfspace description against membership")
-    sp.add_argument("--probe-budget", type=int, default=DEFAULT_PROBE_BUDGET)
+    add("verify-exterior", _cmd_verify_exterior,
+        help="decide exactly whether the hypersimplex halfspaces describe the polytope")
 
     sp = add("skeleton", _cmd_skeleton, enumerates=True,
              help="1-skeleton of the bounded subcomplex")

@@ -6,18 +6,30 @@ hypersimplex the description is the d+1 cornered halfspaces plus, for
 rank at least two, all apex-zero halfspaces whose sector sets have size
 d-k+2.  Minimality of a single halfspace is decided by the three
 combinatorial criteria on the fine type of its apex.
+
+verify_exterior_description decides a system exactly.  With P the hull of
+the generators: P lies in every member iff every generator does (closed
+tropical halfspaces are tropically convex).  H(a, I) is the union over k in
+I of the closed sectors x_k - x_j <= a_k - a_j (all j), so the system's
+intersection is the union, over one sector choice per member, of
+difference systems Q.  It is connected and contains P, and the box
+x_v - x_u <= R, with R one more than the largest coordinate spread of a
+generator, holds P strictly inside, so the intersection lies in P iff
+every Q meet the box does.  That is a polytrope, the min-plus hull of the
+columns of its shortest path matrix (Joswig & Kulas 2010), so it lies in
+the min-plus convex P iff every column point passes in_tconv.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
+from .cells import DEFAULT_CAP, CapExceeded, _add_edges, _closure, _scaled_rows
 from .matroids import uniform_matroid
 from .minplus import (
-    FineType,
     TropicalHalfspace,
     TropicalPoint,
     corner_point,
@@ -26,9 +38,7 @@ from .minplus import (
     in_tconv,
     rational_to_json,
 )
-from .polytopes import build_polytope, pseudovertices
-
-DEFAULT_PROBE_BUDGET = 20000
+from .polytopes import build_polytope
 
 
 class ContainmentError(ValueError):
@@ -127,7 +137,8 @@ def hypersimplex_halfspaces(k: int, d: int) -> HalfspaceSystem:
 
 @dataclass(frozen=True)
 class ExteriorReport:
-    """Result of probing a halfspace system against the hull membership test."""
+    """Result of the exact exterior check: the number of points tested
+    against both memberships, and the points where they differ."""
 
     probes: int
     counterexamples: tuple[tuple[TropicalPoint, bool, bool], ...]
@@ -147,73 +158,70 @@ class ExteriorReport:
         }
 
 
-def _half_integer_lattice(d: int):
-    steps = [Fraction(v, 2) for v in range(-4, 5)]
-    for chart in product(steps, repeat=d):
-        yield TropicalPoint.from_c0(chart)
-
-
-def _pseudovertex_probes(generators: Sequence[TropicalPoint]):
-    """Pseudovertices of the generated polytope, nudged by every unit vector.
-
-    Only applies when the generators are the canonical 0/1 vectors of a
-    matroid; otherwise no extra probes are produced.
-    """
-    from .matroids import matroid_from_bases, MatroidError
-
-    n = generators[0].n_coords
-    zero_sets = []
-    for g in generators:
-        c = g.canonical()
-        zs = frozenset(i + 1 for i, v in enumerate(c.coords) if v == 0)
-        if any(v not in (0, 1) for v in c.coords):
-            return
-        zero_sets.append(zs)
-    if len({len(z) for z in zero_sets}) != 1:
-        return
-    try:
-        m = matroid_from_bases(n, zero_sets)
-    except MatroidError:
-        return
-    p = build_polytope(m)
-    for pv in pseudovertices(p):
-        yield pv.point
-        for i in range(n):
-            delta = [0] * n
-            delta[i] = 1
-            yield pv.point.translate(delta)
-            delta[i] = -1
-            yield pv.point.translate(delta)
-
-
 def verify_exterior_description(
     system: HalfspaceSystem,
     generators: Sequence[TropicalPoint],
-    probe_budget: int = DEFAULT_PROBE_BUDGET,
+    cap: int = DEFAULT_CAP,
 ) -> ExteriorReport:
-    """Probe the claim: a point lies in the hull iff it lies in the system.
+    """Decide exactly whether the hull P of the generators is the set of
+    points in every member of the system (module docstring).
 
-    Probes are the pseudovertices of the polytope perturbed along every
-    unit direction, then every half-integer chart point of [-2, 2]^d, at
-    most probe_budget points in total.  The pseudovertex probes come first
-    because they sit where the hull and a wrong system part; the lattice
-    alone has 9^d points and would fill the budget from d = 5 on.  A sound
-    description produces no counterexamples.  A budget below 1 is rejected
-    with ValueError: a check that probes nothing verifies nothing.
+    Counterexamples are generators outside the system, (v, True, False),
+    and column points of a sector choice outside P, (x, False, True).
+    ExteriorReport.probes counts the generators and the distinct column
+    points tested.  Raises CapExceeded once the search has visited more
+    than cap nodes (a node is a sector-choice prefix that survived
+    pruning, the empty prefix included).
     """
-    if probe_budget < 1:
-        raise ValueError(f"probe budget must be at least 1, got {probe_budget}")
-    d = generators[0].n_coords - 1
-    count = 0
-    bad = []
-    probes = chain(_pseudovertex_probes(generators), _half_integer_lattice(d))
-    for x in islice(probes, probe_budget):
-        count += 1
-        inside = in_tconv(x, generators)
-        in_sys = system.contains(x)
-        if inside != in_sys:
-            bad.append((x, inside, in_sys))
-    return ExteriorReport(count, tuple(bad))
+    gens = tuple(generators)
+    bad = [(v, True, False) for v in gens if not system.contains(v)]
+    rows, den = _scaled_rows(gens + tuple(h.apex for h in system))
+    n = len(rows[0])
+    reach = 1 + max(max(g) - min(g) for g in rows[:len(gens)])
+    # sector k of apex a is x_k - x_j <= a_k - a_j for every j; the pair
+    # (k, those bounds) names it whatever representative a has
+    members = [[(k, tuple(a[k] - c for c in a)) for k in sorted(s - 1 for s in h.sectors)]
+               for h, a in zip(system, rows[len(gens):])]
+    seen: set[frozenset] = set()
+    tested: set[tuple[int, ...]] = set()
+    nodes = 0
+
+    def descend(m: int, dist: list, chosen: frozenset) -> None:
+        # dist is stored transposed: dist[u][v] bounds x_u - x_v
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise CapExceeded(f"exterior check: {nodes} nodes exceed cap {cap}")
+        # a member with a sector around the whole cell leaves it unchanged;
+        # every other choice would only shrink it
+        while m < len(members) and any(
+                all(c <= w for c, w in zip(dist[k], ws)) for k, ws in members[m]):
+            m += 1
+        if m == len(members):
+            for col in zip(*dist):
+                low = min(col)
+                col = tuple(c - low for c in col)
+                if col in tested:
+                    continue
+                tested.add(col)
+                x = TropicalPoint(Fraction(c, den) for c in col)
+                if not system.contains(x):
+                    raise AssertionError("a column point of a sector choice escapes the system")
+                if not in_tconv(x, gens):
+                    bad.append((x, False, True))
+            return
+        for k, ws in members[m]:
+            key = chosen | {(k, ws)}
+            if key in seen:
+                continue
+            seen.add(key)
+            child = _add_edges(dist, k, ws)
+            if child is not None:
+                descend(m + 1, child, key)
+
+    descend(0, _closure([[None if u == v else reach for v in range(n)] for u in range(n)]),
+            frozenset())
+    return ExteriorReport(len(gens) + len(tested), tuple(bad))
 
 
 def _term(coef: Fraction, i: int) -> str:

@@ -271,10 +271,6 @@ def fine_type(x: TropicalPoint, generators: Sequence[TropicalPoint]) -> FineType
     return FineType(entries)
 
 
-def coarse_type(x: TropicalPoint, generators: Sequence[TropicalPoint]) -> tuple[int, ...]:
-    return fine_type(x, generators).coarse()
-
-
 def in_tconv(x: TropicalPoint, generators: Sequence[TropicalPoint]) -> bool:
     """Membership in the tropical convex hull: no empty fine type entry."""
     return fine_type(x, generators).is_bounded()

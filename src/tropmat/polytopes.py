@@ -83,13 +83,6 @@ def build_polytope(m: GroundMatroid) -> PolytopeModel:
     return PolytopeModel(m, gens, origin)
 
 
-def corner(p: PolytopeModel, i: int) -> TropicalPoint:
-    """The i-th corner, the tropical combination with coefficients -v_{j,i}."""
-    from .minplus import corner_point
-
-    return corner_point(p.generators, i)
-
-
 def _support_point(n: int, support: frozenset[int]) -> TropicalPoint:
     """Canonical point of -e_J: zero on J, one on the complement."""
     return TropicalPoint(0 if i in support else 1 for i in range(1, n + 1))

@@ -10,7 +10,6 @@ from tropmat import (
     FineType,
     TropicalHalfspace,
     TropicalPoint,
-    coarse_type,
     corner_point,
     fine_type,
     halfspace_contains,
@@ -121,7 +120,6 @@ class TestTypes:
         ft = fine_type(TropicalPoint.of(0, 0, 0), GENS)
         assert ft.entries == (frozenset({1}), frozenset({1, 2}), frozenset({2}))
         assert ft.coarse() == (1, 2, 1)
-        assert coarse_type(TropicalPoint.of(0, 0, 0), GENS) == (1, 2, 1)
 
     def test_type_union_covers_every_generator(self):
         ft = fine_type(TropicalPoint.of(5, 0, 0), GENS)

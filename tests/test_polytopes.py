@@ -6,7 +6,7 @@ import pytest
 from tropmat import (
     TropicalPoint,
     build_polytope,
-    corner,
+    corner_point,
     fine_type,
     interior_point,
     maximal_bounded_cells,
@@ -49,14 +49,14 @@ class TestModel:
 
     def test_corners_are_unit_vectors(self, running_polytope):
         for i in range(1, 6):
-            assert corner(running_polytope, i) == TropicalPoint.unit(i, 5)
+            assert corner_point(running_polytope.generators, i) == TropicalPoint.unit(i, 5)
 
     def test_corner_types(self, running_polytope):
         p = running_polytope
-        t1 = fine_type(corner(p, 1), p.generators)
+        t1 = fine_type(corner_point(p.generators, 1), p.generators)
         assert t1.entries[0] == frozenset(range(1, 9))
         assert t1.dimension() == 0
-        t2 = fine_type(corner(p, 2), p.generators)
+        t2 = fine_type(corner_point(p.generators, 2), p.generators)
         assert t2.entries == (
             frozenset({3, 4, 5}),
             frozenset(range(1, 9)),
