@@ -17,6 +17,18 @@ source, divided by n and the common denominator, lie in the relative
 interior (a simple cycle has at most n edges, so every cycle that is not
 tight keeps a nonnegative weight).
 
+Both searches update a matrix only when the update can give something new.
+The maximal-cell search runs on the witness system itself: a simple cycle
+of L <= n edges and weight W weighs n*W - L there, which is negative exactly
+when W <= 0, that is, when the unscaled system has a negative cycle or pins
+a pair.  Every cycle the edges of a new argmin k close passes through k, so
+one O(n) look at column k decides the child before its update, and a leaf's
+matrix is the witness system of its maximal cell.  The face closure tries a
+tie (g, j) of a cell only once per pair of pinned classes (class of g's
+representative, class of j): x_j - x_rep then moves by a constant, so two
+ties with one pair maximise the same functional over the closed cell and
+give the same face.
+
 The closed form side evaluates the basis counting formula for the coarse
 types of maximal cells and the hypersimplex specialisation.  cross_validate
 compares the two.
@@ -34,7 +46,7 @@ from .matroids import GroundMatroid, basis_avoiding_prefixes
 from .minplus import FineType, TropicalPoint, fine_type
 from .polytopes import PolytopeModel
 
-DEFAULT_CAP = 10**6   # CPython 3.11: 0.12-0.25 ms per search node, 65 us per face candidate
+DEFAULT_CAP = 10**6   # CPython 3.11: 30-50 us per search node, 20-30 us per face candidate
 
 
 class CapExceeded(ValueError):
@@ -92,6 +104,12 @@ def _closure(weights: Sequence[Sequence]) -> list | None:
 def _pinned(dist: list, u: int, v: int) -> bool:
     a, b = dist[u][v], dist[v][u]
     return a is not None and b is not None and a + b == 0
+
+
+def _pinned_classes(dist: list) -> list[int]:
+    """The least coordinate pinned to each coordinate (pinning is an
+    equivalence relation, so equal entries mean one affine class)."""
+    return [next(v for v in range(u + 1) if _pinned(dist, u, v)) for u in range(len(dist))]
 
 
 def _scaled_rows(gens: Sequence[TropicalPoint]) -> tuple[list[list[int]], int]:
@@ -178,12 +196,14 @@ def _argmin_sets(ft: FineType) -> tuple[frozenset[int], ...]:
 
 
 def _record(gens: Sequence[TropicalPoint], rows: list, den: int,
-            arg_sets: Sequence[frozenset[int]]) -> CellRecord:
-    """The cell with these argmin sets, with its witness (module docstring)."""
+            arg_sets: Sequence[frozenset[int]], dist: list | None = None) -> CellRecord:
+    """The cell with these argmin sets, with its witness (module docstring).
+    dist, when given, is the closed witness system of the cell."""
     n = len(rows[0])
-    dist = _closure(_constraints(rows, arg_sets, n, 1))
     if dist is None:
-        raise AssertionError("argmin sets of an empty cell")
+        dist = _closure(_constraints(rows, arg_sets, n, 1))
+        if dist is None:
+            raise AssertionError("argmin sets of an empty cell")
     witness = TropicalPoint(
         Fraction(min(c for c in col if c is not None), n * den) for col in zip(*dist)
     ).canonical()
@@ -203,11 +223,15 @@ def enumerate_maximal_cells(
     """All full dimensional cells of the complex, by exhaustive search.
 
     Every map sending each generator to a single argmin coordinate is
-    tested for strict feasibility: sending generator g to k adds the edges
-    k -> j, and a prefix is pruned once its closed system has a negative
-    cycle or pins two coordinates, which only skips assignments whose strict
-    systems are already contradictory.  Feasible maps correspond bijectively
-    to maximal cells.  Results are sorted by fine type.
+    tested for strict feasibility.  The search carries the witness system
+    of the prefix (module docstring): sending generator g to k adds the
+    edges k -> j of weight n*(v_j - v_k) - 1 for j != k, and the child is
+    pruned before that update when some c != k closes a negative cycle,
+    n*(v_c - v_k) - 1 + d[c][k] < 0.  That prunes exactly the prefixes whose
+    unscaled system has a negative cycle or pins two coordinates, which
+    only skips assignments whose strict systems are already contradictory.
+    Feasible maps correspond bijectively to maximal cells, and each leaf's
+    matrix is its cell's witness system.  Results are sorted by fine type.
 
     Raises CapExceeded once the search has visited more than cap nodes (a
     node is a prefix that survived pruning, the empty prefix included).
@@ -215,6 +239,7 @@ def enumerate_maximal_cells(
     gens = _as_generators(p)
     rows, den = _scaled_rows(gens)
     n = len(rows[0])
+    scaled = [[n * c for c in row] for row in rows]
     found: list[CellRecord] = []
     sigma = [0] * len(rows)
     nodes = 0
@@ -225,16 +250,19 @@ def enumerate_maximal_cells(
         if nodes > cap:
             raise CapExceeded(f"maximal-cell search: {nodes} nodes exceed cap {cap}")
         if g == len(rows):
-            found.append(_record(gens, rows, den, [frozenset((k,)) for k in sigma]))
+            found.append(_record(gens, rows, den, [frozenset((k,)) for k in sigma], dist))
             return
-        row = rows[g]
+        row = scaled[g]
         for k in range(n):
-            child = _add_edges(dist, k, [c - row[k] for c in row])
-            # a zero cycle closed by the new edges passes through k
-            if child is None or any(_pinned(child, k, b) for b in range(n) if b != k):
+            cut = row[k] + 1
+            # a negative cycle closed by the new edges k -> c passes through k
+            if any(dc[k] is not None and row[c] + dc[k] < cut
+                   for c, dc in enumerate(dist) if c != k):
                 continue
+            weights = [c - cut for c in row]
+            weights[k] = None
             sigma[g] = k
-            descend(g + 1, child)
+            descend(g + 1, _add_edges(dist, k, weights))
 
     descend(0, _closure([[None] * n] * n))
     found.sort(key=lambda r: r.fine_type.key())
@@ -258,11 +286,14 @@ def enumerate_all_cells(
     argmin set, whose member rep stays in it.  The face is nonempty iff
     d[rep][j] == v_j - v_rep; its matrix comes from adding the edges leaving
     j, and its argmin sets are the coordinates k with d[k][rep] == v_rep - v_k
-    for each generator's rep.  Cells are deduplicated by argmin sets; the
-    f-vector counts them by dimension 0..d.
+    for each generator's rep.  Ties whose rep and j fall in the same pinned
+    classes as an earlier tie of the cell give the same face (module
+    docstring) and are skipped before any update.  Cells are deduplicated by
+    argmin sets; the f-vector counts them by dimension 0..d.
 
     Raises CapExceeded once more than cap face candidates, ties (g, j) that
-    pass that test, have been tried (the search below has its own count).
+    pass that test, have been tried, repeated class pairs included (the
+    search below has its own count).
     """
     gens = _as_generators(p)
     maximal = enumerate_maximal_cells(gens, cap)
@@ -280,6 +311,8 @@ def enumerate_all_cells(
         arg_sets = queue.popleft()
         dist = _closure(_constraints(rows, arg_sets))
         reps = [min(s) for s in arg_sets]
+        cls = _pinned_classes(dist)
+        pairs = set()
         for g, (s, rep) in enumerate(zip(arg_sets, reps)):
             row = rows[g]
             for j in range(n):
@@ -289,6 +322,10 @@ def enumerate_all_cells(
                 if candidates > cap:
                     raise CapExceeded(
                         f"face closure: {candidates} face candidates exceed cap {cap}")
+                pair = (cls[rep], cls[j])
+                if pair in pairs:
+                    continue
+                pairs.add(pair)
                 if arg_sets[:g] + (s | {j},) + arg_sets[g + 1:] in visited:
                     continue
                 face = _add_edges(dist, j, [c - row[j] for c in row])
@@ -320,8 +357,7 @@ def affine_cell_dim(p: PolytopeModel | Sequence[TropicalPoint], ft: FineType) ->
     dist = _closure(_constraints(rows, _argmin_sets(ft)))
     if dist is None:
         raise ValueError("type is not realized: empty constraint system")
-    n = len(dist)
-    return sum(not any(_pinned(dist, u, v) for v in range(u)) for u in range(n)) - 1
+    return len(set(_pinned_classes(dist))) - 1
 
 
 # ---------------------------------------------------------------------------

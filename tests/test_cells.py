@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from math import comb
 
@@ -22,6 +22,17 @@ from tropmat import (
     trop_combination,
     trop_segment,
     uniform_matroid,
+)
+from tropmat import cells
+from tropmat.cells import (
+    CellComplexModel,
+    _argmin_sets,
+    _as_generators,
+    _closure,
+    _constraints,
+    _pinned,
+    _record,
+    _scaled_rows,
 )
 
 F_VECTOR = (14, 78, 172, 180, 73)
@@ -236,3 +247,130 @@ class TestRandomizedConsistency:
         assert in_tconv(x, gens) and in_tconv(y, gens)
         for z in trop_segment(x, y):
             assert in_tconv(z, gens)
+
+
+# ---------------------------------------------------------------------------
+# The two searches against the loops they replaced.  The oracles update the
+# matrix of every child and then test it for a negative or zero cycle, run a
+# fresh closure for each maximal cell's witness, and try every face
+# candidate.  They call the kernel through the module, so a counter patched
+# onto cells._add_edges sees their updates too.
+
+
+def maximal_cells_oracle(p):
+    gens = _as_generators(p)
+    rows, den = _scaled_rows(gens)
+    n = len(rows[0])
+    found = []
+    sigma = [0] * len(rows)
+
+    def descend(g, dist):
+        if g == len(rows):
+            found.append(_record(gens, rows, den, [frozenset((k,)) for k in sigma]))
+            return
+        row = rows[g]
+        for k in range(n):
+            child = cells._add_edges(dist, k, [c - row[k] for c in row])
+            if child is None or any(_pinned(child, k, b) for b in range(n) if b != k):
+                continue
+            sigma[g] = k
+            descend(g + 1, child)
+
+    descend(0, _closure([[None] * n] * n))
+    found.sort(key=lambda r: r.fine_type.key())
+    return found
+
+
+def all_cells_oracle(p):
+    gens = _as_generators(p)
+    maximal = maximal_cells_oracle(gens)
+    rows, den = _scaled_rows(gens)
+    n = len(rows[0])
+    visited = {}
+    queue = deque()
+    for rec in maximal:
+        arg_sets = _argmin_sets(rec.fine_type)
+        visited[arg_sets] = rec
+        queue.append(arg_sets)
+    while queue:
+        arg_sets = queue.popleft()
+        dist = _closure(_constraints(rows, arg_sets))
+        reps = [min(s) for s in arg_sets]
+        for g, (s, rep) in enumerate(zip(arg_sets, reps)):
+            row = rows[g]
+            for j in range(n):
+                if j in s or dist[rep][j] != row[j] - row[rep]:
+                    continue
+                if arg_sets[:g] + (s | {j},) + arg_sets[g + 1:] in visited:
+                    continue
+                face = cells._add_edges(dist, j, [c - row[j] for c in row])
+                new_sets = tuple(
+                    frozenset(k for k in range(n) if face[k][r] == v[r] - v[k])
+                    for v, r in zip(rows, reps)
+                )
+                if new_sets not in visited:
+                    visited[new_sets] = _record(gens, rows, den, new_sets)
+                    queue.append(new_sets)
+    found = tuple(sorted(visited.values(), key=lambda r: (r.dim, r.fine_type.key())))
+    fv = [0] * n
+    for rec in found:
+        fv[rec.dim] += 1
+    return CellComplexModel(n, found, tuple(fv))
+
+
+rational_coords = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+
+
+def rational_configs(n_coords: int, max_gens: int):
+    point = st.lists(rational_coords, min_size=n_coords, max_size=n_coords).map(TropicalPoint)
+    return st.lists(point, min_size=1, max_size=max_gens)
+
+
+class TestSearchesAgainstOracles:
+    @pytest.fixture(scope="class")
+    def polytopes(self, running_polytope, u24_polytope, u33_polytope):
+        return [running_polytope, build_polytope(uniform_matroid(2, 3)),
+                u24_polytope, u33_polytope]
+
+    def test_fixtures(self, polytopes):
+        # records, order and witnesses; K3's graphic matroid is U(2,3)
+        for p in polytopes:
+            assert enumerate_maximal_cells(p) == maximal_cells_oracle(p)
+            assert enumerate_all_cells(p) == all_cells_oracle(p)
+
+    @given(st.integers(3, 4).flatmap(lambda n: rational_configs(n, 4)))
+    @settings(max_examples=30, deadline=None)
+    def test_rational_generators(self, gens):
+        assert enumerate_maximal_cells(gens) == maximal_cells_oracle(gens)
+        assert enumerate_all_cells(gens) == all_cells_oracle(gens)
+
+
+class TestWorkCounts:
+    @pytest.fixture
+    def updates(self, monkeypatch):
+        calls = [0]
+        kernel = cells._add_edges
+
+        def counted(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(cells, "_add_edges", counted)
+        return calls
+
+    def test_search_updates_only_surviving_children(self, running_polytope, updates):
+        # 322 nodes (test_cap): the root's closure adds 5 rows of no edges,
+        # every other node is a surviving child with one update, and the
+        # maximal cells reuse their leaf matrix as the witness system
+        enumerate_maximal_cells(running_polytope)
+        search = updates[0]
+        updates[0] = 0
+        maximal_cells_oracle(running_polytope)
+        assert (search, updates[0]) == (5 + (322 - 1), 1615)
+
+    def test_closure_updates(self, running_polytope, updates):
+        enumerate_all_cells(running_polytope)
+        closure = updates[0]
+        updates[0] = 0
+        all_cells_oracle(running_polytope)
+        assert (closure, updates[0]) == (7294, 12114)
