@@ -27,7 +27,13 @@ matrix is the witness system of its maximal cell.  The face closure tries a
 tie (g, j) of a cell only once per pair of pinned classes (class of g's
 representative, class of j): x_j - x_rep then moves by a constant, so two
 ties with one pair maximise the same functional over the closed cell and
-give the same face.
+give the same face.  It never closes a face's system again: the matrix the
+update returned is already the closure of the face's own argmin sets.  The
+face is the closed cell cut by x_j - x_rep = v_j - v_rep; every point of it
+has argmin sets containing the ones read off, and those contain the cell's
+sets and j in g's, so the closed cell of the new sets is the same
+polyhedron.  A feasible closed system's matrix holds the tight bounds
+max(x_v - x_u) over its solution set, so it depends only on that set.
 
 The closed form side evaluates the basis counting formula for the coarse
 types of maximal cells and the hypersimplex specialisation.  cross_validate
@@ -39,14 +45,16 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import comb, lcm
+from operator import eq
 from typing import Sequence
 
 from .matroids import GroundMatroid, basis_avoiding_prefixes
 from .minplus import FineType, TropicalPoint, fine_type
 from .polytopes import PolytopeModel
 
-DEFAULT_CAP = 10**6   # CPython 3.11: 30-50 us per search node, 20-30 us per face candidate
+DEFAULT_CAP = 10**6   # CPython 3.11: 30-50 us per search node, 15-28 us per face candidate
 
 
 class CapExceeded(ValueError):
@@ -204,9 +212,10 @@ def _record(gens: Sequence[TropicalPoint], rows: list, den: int,
         dist = _closure(_constraints(rows, arg_sets, n, 1))
         if dist is None:
             raise AssertionError("argmin sets of an empty cell")
-    witness = TropicalPoint(
-        Fraction(min(c for c in col if c is not None), n * den) for col in zip(*dist)
-    ).canonical()
+    # integer potentials, shifted so the least is zero: the canonical witness
+    pots = [min(c for c in col if c is not None) for col in zip(*dist)]
+    low = min(pots)
+    witness = TropicalPoint(Fraction(c - low, n * den) for c in pots)
     ft = FineType([g + 1 for g, s in enumerate(arg_sets) if k in s] for k in range(n))
     if fine_type(witness, gens).entries != ft.entries:
         raise AssertionError("witness does not reproduce the cell type")
@@ -286,10 +295,13 @@ def enumerate_all_cells(
     argmin set, whose member rep stays in it.  The face is nonempty iff
     d[rep][j] == v_j - v_rep; its matrix comes from adding the edges leaving
     j, and its argmin sets are the coordinates k with d[k][rep] == v_rep - v_k
-    for each generator's rep.  Ties whose rep and j fall in the same pinned
-    classes as an earlier tie of the cell give the same face (module
-    docstring) and are skipped before any update.  Cells are deduplicated by
-    argmin sets; the f-vector counts them by dimension 0..d.
+    for each generator's rep.  That matrix is the closure of the face's own
+    argmin sets (module docstring), so the face is queued with it and only
+    the maximal cells get a closure of their system.  Ties whose rep and j
+    fall in the same pinned classes as an earlier tie of the cell give the
+    same face (module docstring) and are skipped before any update.  Cells
+    are deduplicated by argmin sets; the f-vector counts them by dimension
+    0..d.
 
     Raises CapExceeded once more than cap face candidates, ties (g, j) that
     pass that test, have been tried, repeated class pairs included (the
@@ -299,6 +311,8 @@ def enumerate_all_cells(
     maximal = enumerate_maximal_cells(gens, cap)
     rows, den = _scaled_rows(gens)
     n = len(rows[0])
+    # diffs[g][r][k] = v_r - v_k for generator g's row v
+    diffs = [[[v[r] - c for c in v] for r in range(n)] for v in rows]
     visited: dict[tuple[frozenset[int], ...], CellRecord] = {}
     shared: dict[frozenset[int], frozenset[int]] = {}
     queue: deque = deque()
@@ -306,10 +320,9 @@ def enumerate_all_cells(
     for rec in maximal:
         arg_sets = _argmin_sets(rec.fine_type)
         visited[arg_sets] = rec
-        queue.append(arg_sets)
+        queue.append((arg_sets, _closure(_constraints(rows, arg_sets))))
     while queue:
-        arg_sets = queue.popleft()
-        dist = _closure(_constraints(rows, arg_sets))
+        arg_sets, dist = queue.popleft()
         reps = [min(s) for s in arg_sets]
         cls = _pinned_classes(dist)
         pairs = set()
@@ -329,15 +342,16 @@ def enumerate_all_cells(
                 if arg_sets[:g] + (s | {j},) + arg_sets[g + 1:] in visited:
                     continue
                 face = _add_edges(dist, j, [c - row[j] for c in row])
+                cols = list(zip(*face))
                 new_sets = tuple(
-                    frozenset(k for k in range(n) if face[k][r] == v[r] - v[k])
-                    for v, r in zip(rows, reps)
+                    frozenset(compress(range(n), map(eq, cols[r], dg[r])))
+                    for dg, r in zip(diffs, reps)
                 )
                 if new_sets not in visited:
                     # one object per distinct set keeps the stored keys small
                     new_sets = tuple(shared.setdefault(x, x) for x in new_sets)
                     visited[new_sets] = _record(gens, rows, den, new_sets)
-                    queue.append(new_sets)
+                    queue.append((new_sets, face))
     cells = tuple(sorted(visited.values(), key=lambda r: (r.dim, r.fine_type.key())))
     d = n - 1
     fv = [0] * (d + 1)

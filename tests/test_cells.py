@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tropmat import (
     CapExceeded,
+    FineType,
     TropicalPoint,
     affine_cell_dim,
     build_polytope,
@@ -26,12 +27,12 @@ from tropmat import (
 from tropmat import cells
 from tropmat.cells import (
     CellComplexModel,
+    CellRecord,
     _argmin_sets,
     _as_generators,
     _closure,
     _constraints,
     _pinned,
-    _record,
     _scaled_rows,
 )
 
@@ -252,9 +253,23 @@ class TestRandomizedConsistency:
 # ---------------------------------------------------------------------------
 # The two searches against the loops they replaced.  The oracles update the
 # matrix of every child and then test it for a negative or zero cycle, run a
-# fresh closure for each maximal cell's witness, and try every face
-# candidate.  They call the kernel through the module, so a counter patched
-# onto cells._add_edges sees their updates too.
+# fresh closure for each cell's witness, rebuild each dequeued cell's matrix
+# and try every face candidate.  They call the kernel through the module, so
+# a counter patched onto cells._add_edges sees their updates too.
+
+
+def oracle_record(gens, rows, den, arg_sets):
+    """The witness as first built: a fresh closure of the witness system,
+    column minima over n*den as Fractions, then the canonical representative."""
+    n = len(rows[0])
+    dist = _closure(_constraints(rows, arg_sets, n, 1))
+    assert dist is not None, "argmin sets of an empty cell"
+    witness = TropicalPoint(
+        Fraction(min(c for c in col if c is not None), n * den) for col in zip(*dist)
+    ).canonical()
+    ft = FineType([g + 1 for g, s in enumerate(arg_sets) if k in s] for k in range(n))
+    assert fine_type(witness, gens).entries == ft.entries
+    return CellRecord(ft, ft.dimension(), ft.is_bounded(), witness)
 
 
 def maximal_cells_oracle(p):
@@ -266,7 +281,7 @@ def maximal_cells_oracle(p):
 
     def descend(g, dist):
         if g == len(rows):
-            found.append(_record(gens, rows, den, [frozenset((k,)) for k in sigma]))
+            found.append(oracle_record(gens, rows, den, [frozenset((k,)) for k in sigma]))
             return
         row = rows[g]
         for k in range(n):
@@ -309,7 +324,7 @@ def all_cells_oracle(p):
                     for v, r in zip(rows, reps)
                 )
                 if new_sets not in visited:
-                    visited[new_sets] = _record(gens, rows, den, new_sets)
+                    visited[new_sets] = oracle_record(gens, rows, den, new_sets)
                     queue.append(new_sets)
     found = tuple(sorted(visited.values(), key=lambda r: (r.dim, r.fine_type.key())))
     fv = [0] * n
@@ -345,6 +360,47 @@ class TestSearchesAgainstOracles:
         assert enumerate_all_cells(gens) == all_cells_oracle(gens)
 
 
+def face_matrix_ties(gens):
+    """Check every tie (g, j) of every cell: the matrix the update returns is
+    the closure of the face's own argmin sets, so a face can be queued with
+    it.  Returns the number of ties checked."""
+    rows, _ = _scaled_rows(_as_generators(gens))
+    n = len(rows[0])
+    ties = 0
+    for rec in enumerate_all_cells(gens).cells:
+        arg_sets = _argmin_sets(rec.fine_type)
+        dist = _closure(_constraints(rows, arg_sets))
+        reps = [min(s) for s in arg_sets]
+        for g, (s, rep) in enumerate(zip(arg_sets, reps)):
+            row = rows[g]
+            for j in range(n):
+                if j in s or dist[rep][j] != row[j] - row[rep]:
+                    continue
+                ties += 1
+                face = cells._add_edges(dist, j, [c - row[j] for c in row])
+                new_sets = tuple(
+                    frozenset(k for k in range(n) if face[k][r] == v[r] - v[k])
+                    for v, r in zip(rows, reps)
+                )
+                assert j in new_sets[g]
+                assert all(a <= b for a, b in zip(arg_sets, new_sets))
+                assert face == _closure(_constraints(rows, new_sets))
+    return ties
+
+
+class TestFaceMatrix:
+    def test_fixtures(self, running_polytope, u24_polytope, u33_polytope):
+        # the running example's ties are its face candidates (test_cap)
+        assert face_matrix_ties(running_polytope) == 6120
+        assert face_matrix_ties(u24_polytope) > 0
+        assert face_matrix_ties(u33_polytope) > 0
+
+    @given(st.integers(3, 4).flatmap(lambda n: rational_configs(n, 4)))
+    @settings(max_examples=20, deadline=None)
+    def test_rational_generators(self, gens):
+        face_matrix_ties(gens)
+
+
 class TestWorkCounts:
     @pytest.fixture
     def updates(self, monkeypatch):
@@ -369,8 +425,11 @@ class TestWorkCounts:
         assert (search, updates[0]) == (5 + (322 - 1), 1615)
 
     def test_closure_updates(self, running_polytope, updates):
+        # 326 for the search, 73 * 5 for the maximal cells' matrices, 2163
+        # face updates and 444 * 5 witness closures; no dequeued face is
+        # closed again, since it carries the matrix its update returned
         enumerate_all_cells(running_polytope)
         closure = updates[0]
         updates[0] = 0
         all_cells_oracle(running_polytope)
-        assert (closure, updates[0]) == (7294, 12114)
+        assert (closure, updates[0]) == (5074, 12114)

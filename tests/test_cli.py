@@ -179,7 +179,10 @@ class TestDeterminism:
 
 
 # sha256 of the JSON output, recorded from the permutation and count_b
-# implementation of the closed forms that the prefix walk replaced
+# implementation of the closed forms that the prefix walk replaced; the
+# complex and brute-force digests pin the witnesses, recorded from the face
+# closure that rebuilt each dequeued cell's matrix and canonicalised a
+# Fraction witness
 FROZEN_DIGESTS = {
     ("running", "coarse-types --formula"):
         "cb49f79435a840d0820ff9aecfd6a815ecca2db3736f52c4d0d8bffa6240f906",
@@ -189,6 +192,10 @@ FROZEN_DIGESTS = {
         "b08675ececf5e7a826d61faf4261920421baea5ef3f2fc0c797174c33a455ca0",
     ("running", "bases"):
         "16ad8daca68575bbe518f2ecde8e2410228d5e8c0dc4bd3c74f3e6302e5ea6b1",
+    ("running", "complex"):
+        "42202ace739f6c3f1abe8c57b49164c225b9d63f16561f60d5b160aee08733e2",
+    ("running", "coarse-types --brute"):
+        "1d7fc289cd20840348033ec67612241398d60a69fd580af33b5371e25e249af7",
     ("k4", "coarse-types --formula"):
         "b0ac06ce967c4300c335c7ab8b772ed21e136895509eb675ca6a15ca39faf020",
     ("k4", "bounded-cells"):
