@@ -23,7 +23,6 @@ from .matroids import (
     MatroidError,
     ParallelEdgeError,
     check_exchange,
-    count_b,
     enumerate_bases,
     graph_from_obj,
     matroid_from_bases,
@@ -37,19 +36,16 @@ from .polytopes import (
     PolytopeModel,
     PseudoVertex,
     build_polytope,
-    interior_point,
     maximal_bounded_cells,
     pseudovertex_label,
     pseudovertices,
     skeleton_dot,
-    valid_sequences,
 )
 from .cells import (
     CapExceeded,
     CellComplexModel,
     CellRecord,
     CrossValidationReport,
-    affine_cell_dim,
     cross_validate,
     enumerate_all_cells,
     enumerate_maximal_cells,
@@ -63,7 +59,6 @@ from .ideals import (
     ideal_membership,
     is_minimal_generating,
     monomial_str,
-    resolution_ranks,
 )
 from .halfspaces import (
     ContainmentError,

@@ -181,9 +181,6 @@ class CellComplexModel:
     cells: tuple[CellRecord, ...]
     f_vector: tuple[int, ...]
 
-    def counts_ok(self) -> bool:
-        return sum(self.f_vector) == len(self.cells)
-
 
 def _as_generators(p: PolytopeModel | Sequence[TropicalPoint]) -> tuple[TropicalPoint, ...]:
     """Accept a polytope model or a bare generator sequence."""
@@ -358,20 +355,6 @@ def enumerate_all_cells(
     for rec in cells:
         fv[rec.dim] += 1
     return CellComplexModel(n, cells, tuple(fv))
-
-
-def affine_cell_dim(p: PolytopeModel | Sequence[TropicalPoint], ft: FineType) -> int:
-    """Affine dimension of the cell of type ft, from its constraint system.
-
-    Pinned coordinates fall in one affine class (pinning is an equivalence
-    relation); the dimension is the number of classes minus one.  Must agree
-    with FineType.dimension for every realized type.
-    """
-    rows, _ = _scaled_rows(_as_generators(p))
-    dist = _closure(_constraints(rows, _argmin_sets(ft)))
-    if dist is None:
-        raise ValueError("type is not realized: empty constraint system")
-    return len(set(_pinned_classes(dist))) - 1
 
 
 # ---------------------------------------------------------------------------

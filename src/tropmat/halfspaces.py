@@ -60,18 +60,11 @@ class HalfspaceSystem:
     def __len__(self) -> int:
         return len(self.halfspaces)
 
-    def __getitem__(self, i: int) -> TropicalHalfspace:
-        return self.halfspaces[i]
-
     def contains(self, x: TropicalPoint) -> bool:
         return all(halfspace_contains(h, x) for h in self.halfspaces)
 
     def to_json_obj(self) -> list:
         return [h.to_json() for h in self.halfspaces]
-
-    @classmethod
-    def from_json_obj(cls, arr: Iterable[dict]) -> "HalfspaceSystem":
-        return cls(TropicalHalfspace.from_json(o) for o in arr)
 
 
 def is_minimal_halfspace(h: TropicalHalfspace, generators: Sequence[TropicalPoint]) -> bool:

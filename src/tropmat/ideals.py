@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .matroids import GroundMatroid
-from .cells import CellComplexModel, maximal_cell_coarse_types
+from .cells import maximal_cell_coarse_types
 
 Exponents = tuple[int, ...]
 
@@ -40,9 +40,6 @@ class MonomialIdeal:
     @property
     def n_generators(self) -> int:
         return len(self.generators)
-
-    def to_json_obj(self) -> dict:
-        return {"n_vars": self.n_vars, "generators": [list(g) for g in self.generators]}
 
 
 def divides(a: Exponents, b: Exponents) -> bool:
@@ -77,12 +74,6 @@ def ideal_membership(t: Sequence[int], ideal: MonomialIdeal) -> bool:
     """x^t lies in the ideal iff some generator divides it."""
     tt = tuple(int(e) for e in t)
     return any(divides(g, tt) for g in ideal.generators)
-
-
-def resolution_ranks(c: CellComplexModel) -> tuple[int, ...]:
-    """Betti numbers of the minimal free resolution: the f-vector reversed,
-    so the generator count of the ideal comes first."""
-    return tuple(reversed(c.f_vector))
 
 
 def monomial_str(exponents: Sequence[int], zero_based: bool = False) -> str:

@@ -83,9 +83,6 @@ class LabeledGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def to_json_obj(self) -> dict:
-        return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
-
 
 def _connected(vertices: Sequence[str], edges: Iterable[tuple[str, str]]) -> bool:
     if not vertices:
@@ -278,18 +275,6 @@ def non_bases(m: GroundMatroid) -> list[frozenset[int]]:
         for c in combinations(m.ground(), m.rank)
         if frozenset(c) not in bset
     ]
-
-
-def count_b(m: GroundMatroid, include: Iterable[int], avoid: Iterable[int]) -> int:
-    """Number of bases containing every element of `include` and none of `avoid`."""
-    inc = frozenset(int(e) for e in include)
-    avd = frozenset(int(e) for e in avoid)
-    if inc & avd:
-        raise ValueError(f"include and avoid overlap on {sorted(inc & avd)}")
-    out_of_range = (inc | avd) - set(m.ground())
-    if out_of_range:
-        raise ValueError(f"elements {sorted(out_of_range)} leave the ground set")
-    return sum(1 for b in m.bases if inc <= b and not (avd & b))
 
 
 def basis_avoiding_prefixes(m: GroundMatroid, max_len: int) -> Iterator[tuple]:

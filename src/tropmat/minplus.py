@@ -65,13 +65,6 @@ class TropicalPoint:
     def origin(cls, n_coords: int) -> "TropicalPoint":
         return cls([0] * n_coords)
 
-    @classmethod
-    def unit(cls, i: int, n_coords: int) -> "TropicalPoint":
-        """The i-th unit vector e_i (1-based)."""
-        if not 1 <= i <= n_coords:
-            raise ValueError(f"unit index {i} out of range 1..{n_coords}")
-        return cls([1 if j == i else 0 for j in range(1, n_coords + 1)])
-
     @property
     def n_coords(self) -> int:
         return len(self.coords)
@@ -92,15 +85,6 @@ class TropicalPoint:
         """Representative with minimum coordinate zero (all entries >= 0)."""
         m = min(self.coords)
         return TropicalPoint(c - m for c in self.coords)
-
-    def c0(self) -> tuple[Fraction, ...]:
-        """Chart (x_2 - x_1, ..., x_{d+1} - x_1) identifying the torus with R^d."""
-        first = self.coords[0]
-        return tuple(c - first for c in self.coords[1:])
-
-    @classmethod
-    def from_c0(cls, chart: Iterable) -> "TropicalPoint":
-        return cls([0, *chart])
 
     def translate(self, deltas) -> "TropicalPoint":
         """Shift by a vector, or by a scalar applied to every coordinate.
@@ -129,10 +113,6 @@ class TropicalPoint:
 
     def to_json(self) -> list:
         return [rational_to_json(c) for c in self.coords]
-
-    @classmethod
-    def from_json(cls, arr: Sequence) -> "TropicalPoint":
-        return cls(arr)
 
 
 def _same_torus(points: Iterable[TropicalPoint]) -> int:
@@ -245,10 +225,6 @@ class FineType:
     def to_json(self) -> list[list[int]]:
         return [sorted(e) for e in self.entries]
 
-    @classmethod
-    def from_json(cls, arr: Iterable[Iterable[int]]) -> "FineType":
-        return cls(arr)
-
 
 def fine_type(x: TropicalPoint, generators: Sequence[TropicalPoint]) -> FineType:
     """Fine type of x with respect to the generators.
@@ -300,10 +276,6 @@ class TropicalHalfspace:
 
     def to_json(self) -> dict:
         return {"apex": self.apex.to_json(), "sectors": sorted(self.sectors)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TropicalHalfspace":
-        return cls(TropicalPoint.from_json(obj["apex"]), obj["sectors"])
 
 
 def halfspace_contains(h: TropicalHalfspace, x: TropicalPoint) -> bool:

@@ -11,7 +11,7 @@ cross-check them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .matroids import GroundMatroid, basis_avoiding_prefixes
 from .minplus import FineType, TropicalPoint
@@ -32,14 +32,6 @@ class PolytopeModel:
     @property
     def n_generators(self) -> int:
         return len(self.generators)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "ground_size": self.matroid.ground_size,
-            "rank": self.matroid.rank,
-            "generators": [g.to_json() for g in self.generators],
-            "origin_type": self.origin_type.to_json(),
-        }
 
 
 @dataclass(frozen=True)
@@ -136,16 +128,6 @@ def pseudovertices(p: PolytopeModel) -> list[PseudoVertex]:
     return out
 
 
-def valid_sequences(p: PolytopeModel, length: int) -> list[tuple[int, ...]]:
-    """Duplicate-free coordinate tuples whose complement contains a basis,
-    in lexicographic order."""
-    max_len = p.n_coords - p.matroid.rank
-    if not 0 <= length <= max_len:
-        raise ValueError(f"sequence length must lie in 0..{max_len}")
-    return [seq for seq, _, _ in basis_avoiding_prefixes(p.matroid, length)
-            if len(seq) == length]
-
-
 def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
     """One maximal bounded cell per complete valid sequence.
 
@@ -198,15 +180,6 @@ def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
             BoundedCell(seq, support, index[support], tuple(chain), FineType(entries))
         )
     return cells
-
-
-def interior_point(cell: BoundedCell) -> TropicalPoint:
-    """Ordinary average of the chain, a relative interior point of the cell."""
-    n = cell.chain[0].n_coords
-    m = len(cell.chain)
-    return TropicalPoint(
-        sum(pt.coords[j] for pt in cell.chain) / m for j in range(n)
-    ).canonical()
 
 
 def pseudovertex_label(p: PolytopeModel, pv: PseudoVertex) -> str:

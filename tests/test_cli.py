@@ -133,7 +133,7 @@ class TestHappyPaths:
         ]
 
     def test_skeleton(self, capsys, graph_path):
-        code, out, _ = run(capsys, "skeleton", "--dot", "--graph", graph_path)
+        code, out, _ = run(capsys, "skeleton", "--graph", graph_path)
         lines = out.splitlines()
         assert code == 0
         assert lines[0] == "graph skeleton {"
@@ -144,6 +144,16 @@ class TestHappyPaths:
         assert code == 0
         first, last = out.splitlines()
         assert first.endswith("; 16 probes, exterior description verified)")
+        assert last == "all 1 checks passed"
+
+    @pytest.mark.parametrize("d", ["2", "3"])
+    def test_check_rank_one_compares_sets(self, capsys, d):
+        # the formula repeats types on the tropical simplex
+        code, out, _ = run(capsys, "check", "--uniform", "1", d)
+        assert code == 0
+        first, last = out.splitlines()
+        assert first.startswith("input: ok (")
+        assert "rank one, compared as sets" in first and "MISMATCH" not in first
         assert last == "all 1 checks passed"
 
     def test_check_k4_runs_the_complex(self, capsys, k4_path):
@@ -233,6 +243,51 @@ class TestCheckSearchesOnce:
         assert code == 0
         assert out.splitlines()[-1] == "all 1 checks passed"
         assert len(calls) == 1
+
+
+class TestCheckCatchesFaults:
+    """A fault planted in one input of check --uniform 2 3 fails it."""
+
+    @staticmethod
+    def failed_check(capsys):
+        code, out, _ = run(capsys, "check", "--uniform", "2", "3")
+        assert code == 2
+        first, last = out.splitlines()
+        assert first.startswith("input: FAIL (")
+        assert last == "1 of 1 checks failed"
+        return first
+
+    def test_closed_form_drops_a_bounded_cell(self, capsys, monkeypatch):
+        import tropmat.cli as cli
+
+        original = cli.maximal_bounded_cells
+        monkeypatch.setattr(cli, "maximal_bounded_cells", lambda p: original(p)[1:])
+        assert "maximal bounded cells disagree" in self.failed_check(capsys)
+
+    def test_enumeration_drops_a_bounded_cell(self, capsys, monkeypatch):
+        # a bounded edge is neither a 0-cell nor a maximal bounded cell, and
+        # the f-vector still counts it: only the bounded Euler sum sees it go
+        import tropmat.cli as cli
+        from tropmat.cells import CellComplexModel
+
+        original = cli.enumerate_all_cells
+
+        def dropping(p, cap):
+            cx = original(p, cap=cap)
+            edge = next(rec for rec in cx.cells if rec.bounded and rec.dim == 1)
+            cells = tuple(rec for rec in cx.cells if rec is not edge)
+            return CellComplexModel(cx.n_coords, cells, cx.f_vector)
+
+        monkeypatch.setattr(cli, "enumerate_all_cells", dropping)
+        assert "Euler characteristic 2 != 1 on the bounded cells" in self.failed_check(capsys)
+
+    def test_hypersimplex_table_changes_a_row(self, capsys, monkeypatch):
+        import tropmat.cli as cli
+
+        original = cli.hypersimplex_coarse_types
+        monkeypatch.setattr(cli, "hypersimplex_coarse_types",
+                            lambda k, d: original(k, d)[:-1] + ((4, 1, 1, 0),))
+        assert "hypersimplex coarse types disagree" in self.failed_check(capsys)
 
 
 class TestFailurePaths:

@@ -18,7 +18,6 @@ from tropmat import (
     MonomialIdeal,
     build_polytope,
     check_exchange,
-    count_b,
     divides,
     enumerate_bases,
     ideal_generators,
@@ -27,11 +26,12 @@ from tropmat import (
     maximal_bounded_cells,
     maximal_cell_coarse_types,
     uniform_matroid,
-    valid_sequences,
 )
 from tropmat.matroids import GraphError, LabeledGraph, MatroidError, _exchange_ok
 from tropmat.minplus import FineType
 from tropmat.polytopes import BoundedCell, _support_point
+
+from oracles import count_b, valid_sequences
 
 
 def formula_oracle(m):

@@ -14,7 +14,6 @@ from tropmat import (
     ideal_membership,
     is_minimal_generating,
     monomial_str,
-    resolution_ranks,
     uniform_matroid,
 )
 
@@ -76,17 +75,6 @@ class TestMembership:
         else:
             smaller = tuple(max(0, e - (1 if i == bump else 0)) for i, e in enumerate(t))
             assert not ideal_membership(smaller, running_ideal)
-
-
-class TestResolutionRanks:
-    def test_running_example(self, running_complex):
-        assert resolution_ranks(running_complex) == (73, 180, 172, 78, 14)
-
-    def test_reversal_of_the_f_vector(self, u23_polytope):
-        from tropmat import enumerate_all_cells
-
-        cx = enumerate_all_cells(u23_polytope)
-        assert resolution_ranks(cx) == (9, 12, 4)
 
 
 class TestRendering:

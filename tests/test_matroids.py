@@ -12,7 +12,6 @@ from tropmat import (
     LoopEdgeError,
     ParallelEdgeError,
     check_exchange,
-    count_b,
     enumerate_bases,
     graph_from_obj,
     matroid_from_bases,
@@ -21,6 +20,8 @@ from tropmat import (
     uniform_matroid,
 )
 from tropmat.matroids import LabeledGraph, MatroidError, _spanning_trees_dc
+
+from oracles import count_b
 
 
 def _spanning_trees_exhaustive(graph: LabeledGraph) -> list[frozenset[int]]:

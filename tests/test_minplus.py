@@ -53,15 +53,6 @@ class TestTropicalPoint:
         assert p == q
         assert hash(p) == hash(q)
 
-    def test_c0_chart_round_trip(self):
-        p = TropicalPoint.of(1, 4, 2, 2)
-        assert TropicalPoint.from_c0(p.c0()) == p
-
-    def test_unit_vectors(self):
-        assert TropicalPoint.unit(2, 3).coords == (0, 1, 0)
-        with pytest.raises(ValueError):
-            TropicalPoint.unit(4, 3)
-
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             trop_segment(TropicalPoint.of(0, 1), TropicalPoint.of(0, 1, 2))
@@ -69,10 +60,6 @@ class TestTropicalPoint:
     @given(points(4), rationals)
     def test_class_representatives_are_equal(self, p, c):
         assert p.translate(c) == p
-
-    def test_json_round_trip(self):
-        p = TropicalPoint.of("1/2", 0, 3)
-        assert TropicalPoint.from_json(p.to_json()) == p
 
 
 class TestSegment:
@@ -146,10 +133,6 @@ class TestTypes:
         ft = fine_type(x, GENS)
         assert ft.is_bounded() == in_tconv(x, GENS)
         assert ft.is_bounded() == all(ft.entries)
-
-    def test_json_round_trip(self):
-        ft = fine_type(TropicalPoint.of(0, 0, 0), GENS)
-        assert FineType.from_json(ft.to_json()).entries == ft.entries
 
     @given(points(3))
     def test_membership_has_a_reconstruction_witness(self, x):

@@ -8,15 +8,25 @@ from tropmat import (
     build_polytope,
     corner_point,
     fine_type,
-    interior_point,
     maximal_bounded_cells,
     pseudovertex_label,
     pseudovertices,
     skeleton_dot,
     uniform_matroid,
-    valid_sequences,
 )
-from tropmat.polytopes import _support_point, _union_type
+from tropmat.polytopes import BoundedCell, _support_point, _union_type
+
+from oracles import valid_sequences
+
+
+def interior_point(cell: BoundedCell) -> TropicalPoint:
+    """Ordinary average of the chain, a relative interior point of the cell."""
+    n = cell.chain[0].n_coords
+    m = len(cell.chain)
+    return TropicalPoint(
+        sum(pt.coords[j] for pt in cell.chain) / m for j in range(n)
+    ).canonical()
+
 
 RUNNING_GENERATORS = [
     (0, 0, 1, 0, 1),
@@ -48,8 +58,10 @@ class TestModel:
         assert running_polytope.origin_type.coarse() == (5, 4, 5, 5, 5)
 
     def test_corners_are_unit_vectors(self, running_polytope):
-        for i in range(1, 6):
-            assert corner_point(running_polytope.generators, i) == TropicalPoint.unit(i, 5)
+        units = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+                 (0, 0, 0, 0, 1)]
+        for i, e in enumerate(units, start=1):
+            assert corner_point(running_polytope.generators, i) == TropicalPoint(e)
 
     def test_corner_types(self, running_polytope):
         p = running_polytope
