@@ -8,7 +8,9 @@ matrix d of a closed system (d[u][v] bounds x_v - x_u from above) and adds
 the edges leaving one node in a single O(n^2) update.  Two coordinates are
 pinned when d[u][v] + d[v][u] == 0: a maximal cell pins no pair, a forced
 tie gives a nonempty face exactly when it is already a shortest path, and a
-cell's argmin sets and dimension are read off its matrix.
+cell's argmin sets are read off its matrix.  The pinned classes are the
+components of those sets: coordinates in one set are pinned, and both
+partitions have dim + 1 classes (FineType.dimension).
 
 Every emitted cell gets one witness, which depends only on the cell: with
 denominators cleared and n coordinates, the constraints forced tight weigh
@@ -51,7 +53,7 @@ from operator import eq
 from typing import Sequence
 
 from .matroids import GroundMatroid, basis_avoiding_prefixes
-from .minplus import FineType, TropicalPoint, fine_type
+from .minplus import FineType, TropicalPoint, _components, fine_type
 from .polytopes import PolytopeModel
 
 DEFAULT_CAP = 10**6   # CPython 3.11: 30-50 us per search node, 15-28 us per face candidate
@@ -107,17 +109,6 @@ def _closure(weights: Sequence[Sequence]) -> list | None:
         if dist is None:
             return None
     return dist
-
-
-def _pinned(dist: list, u: int, v: int) -> bool:
-    a, b = dist[u][v], dist[v][u]
-    return a is not None and b is not None and a + b == 0
-
-
-def _pinned_classes(dist: list) -> list[int]:
-    """The least coordinate pinned to each coordinate (pinning is an
-    equivalence relation, so equal entries mean one affine class)."""
-    return [next(v for v in range(u + 1) if _pinned(dist, u, v)) for u in range(len(dist))]
 
 
 def _scaled_rows(gens: Sequence[TropicalPoint]) -> tuple[list[list[int]], int]:
@@ -296,7 +287,8 @@ def enumerate_all_cells(
     argmin sets (module docstring), so the face is queued with it and only
     the maximal cells get a closure of their system.  Ties whose rep and j
     fall in the same pinned classes as an earlier tie of the cell give the
-    same face (module docstring) and are skipped before any update.  Cells
+    same face (module docstring) and are skipped before any update; the
+    classes are the components of the cell's argmin sets.  Cells
     are deduplicated by argmin sets; the f-vector counts them by dimension
     0..d.
 
@@ -321,7 +313,8 @@ def enumerate_all_cells(
     while queue:
         arg_sets, dist = queue.popleft()
         reps = [min(s) for s in arg_sets]
-        cls = _pinned_classes(dist)
+        # pinned classes; a coordinate in no argmin set is one of its own
+        cls = {k: min(c) for c in _components(arg_sets) for k in c}
         pairs = set()
         for g, (s, rep) in enumerate(zip(arg_sets, reps)):
             row = rows[g]
@@ -332,7 +325,7 @@ def enumerate_all_cells(
                 if candidates > cap:
                     raise CapExceeded(
                         f"face closure: {candidates} face candidates exceed cap {cap}")
-                pair = (cls[rep], cls[j])
+                pair = (cls[rep], cls.get(j, j))
                 if pair in pairs:
                     continue
                 pairs.add(pair)

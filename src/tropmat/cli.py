@@ -37,7 +37,6 @@ from .halfspaces import (
 )
 from .ideals import (
     ideal_generators,
-    ideal_membership,
     is_minimal_generating,
     monomial_str,
 )
@@ -371,11 +370,6 @@ def _check_polytope(name: str, m, cap: int) -> list[str]:
     euler = sum((-1) ** rec.dim for rec in cells_in_p)
     _require(euler == 1, f"{name}: Euler characteristic {euler} != 1 on the bounded cells")
 
-    ideal = ideal_generators(m)
-    _require(is_minimal_generating(ideal), f"{name}: ideal generators not minimal")
-    for rec in cx.cells:
-        _require(ideal_membership(rec.coarse, ideal),
-                 f"{name}: witness coarse type escapes the ideal")
     notes.append(f"f-vector {cx.f_vector}, {summary}")
 
     if len(m.bases) == comb(m.ground_size, k):

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+from .minplus import _components
+
 
 class GraphError(ValueError):
     """Base class for graph validation failures."""
@@ -61,22 +63,20 @@ class LabeledGraph:
             raise GraphFormatError("duplicate vertex names")
         if not vs or not es:
             raise GraphFormatError("graph needs vertices and edges")
-        vset = set(vs)
-        seen: set[frozenset[str]] = set()
+        bit = {v: 1 << i for i, v in enumerate(vs)}
+        masks: list[int] = []   # each edge as the bitmask of its endpoints
         for u, v in es:
-            if u not in vset or v not in vset:
+            if u not in bit or v not in bit:
                 raise GraphFormatError(f"edge ({u},{v}) uses unknown vertices")
             if u == v:
                 raise LoopEdgeError(f"loop at vertex {u}")
-            key = frozenset((u, v))
-            if key in seen:
+            if bit[u] | bit[v] in masks:
                 raise ParallelEdgeError(f"parallel edge ({u},{v})")
-            seen.add(key)
-        if not _connected(vs, es):
+            masks.append(bit[u] | bit[v])
+        if not _spans(masks, len(vs)):
             raise DisconnectedGraphError("graph is not connected")
         for i in range(len(es)):
-            rest = es[:i] + es[i + 1:]
-            if not _connected(vs, rest):
+            if not _spans(masks[:i] + masks[i + 1:], len(vs)):
                 raise BridgeEdgeError(f"edge {i + 1} = {es[i]} is a bridge")
 
     @property
@@ -84,21 +84,9 @@ class LabeledGraph:
         return len(self.edges)
 
 
-def _connected(vertices: Sequence[str], edges: Iterable[tuple[str, str]]) -> bool:
-    if not vertices:
-        return False
-    adj: dict[str, list[str]] = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    stack = [vertices[0]]
-    seen = {vertices[0]}
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
+def _spans(masks: Sequence[int], n_vertices: int) -> bool:
+    """The edges form one component that covers every vertex."""
+    return _components(masks) == [(1 << n_vertices) - 1]
 
 
 def graph_from_obj(obj) -> LabeledGraph:
@@ -235,36 +223,18 @@ def uniform_matroid(rank: int, ground_size: int) -> GroundMatroid:
     )
 
 
-def _spanning_trees_dc(n_vertices: int, edges: list[tuple[int, int, int]]) -> Iterable[frozenset[int]]:
-    """Deletion/contraction enumeration on a multigraph given as
-    (u, v, label) triples with integer vertices 0..n_vertices-1."""
-    if n_vertices == 1:
-        yield frozenset()
-        return
-    live = [(u, v, lab) for u, v, lab in edges if u != v]
-    # the contracted graph has n_vertices vertices; one missing from every
-    # edge is isolated
-    verts = list({x for u, v, _ in live for x in (u, v)})
-    if len(verts) < n_vertices or not _connected(verts, [(u, v) for u, v, _ in live]):
-        return
-    u0, v0, lab0 = live[0]
-    # contract: merge v0 into u0
-    contracted = [
-        (u0 if u == v0 else u, u0 if v == v0 else v, lab)
-        for u, v, lab in live[1:]
-    ]
-    for tree in _spanning_trees_dc(n_vertices - 1, contracted):
-        yield tree | {lab0}
-    # delete
-    yield from _spanning_trees_dc(n_vertices, live[1:])
-
-
 def enumerate_bases(graph: LabeledGraph) -> GroundMatroid:
-    """All spanning trees of the graph as a matroid over the edge labels,
-    by deletion/contraction."""
-    vidx = {v: i for i, v in enumerate(graph.vertices)}
-    triples = [(vidx[u], vidx[v], i + 1) for i, (u, v) in enumerate(graph.edges)]
-    return matroid_from_bases(graph.n_edges, _spanning_trees_dc(len(graph.vertices), triples))
+    """All spanning trees of the graph as a matroid over the edge labels:
+    the (|V|-1)-edge subsets that form one component covering every
+    vertex."""
+    n = len(graph.vertices)
+    bit = {v: 1 << i for i, v in enumerate(graph.vertices)}
+    masks = [bit[u] | bit[v] for u, v in graph.edges]
+    return matroid_from_bases(graph.n_edges, (
+        frozenset(i + 1 for i in combo)
+        for combo in combinations(range(len(masks)), n - 1)
+        if _spans([masks[i] for i in combo], n)
+    ))
 
 
 def non_bases(m: GroundMatroid) -> list[frozenset[int]]:

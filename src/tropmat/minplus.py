@@ -155,6 +155,22 @@ def trop_segment(x: TropicalPoint, y: TropicalPoint) -> list[TropicalPoint]:
     return out
 
 
+def _components(sets):
+    """Merge the sets that share an element, transitively.  Only & and | are
+    used, so frozensets and int bitmasks both work; an empty set stays a
+    component of its own."""
+    comps = []
+    for s in sets:
+        rest = []
+        for c in comps:
+            if c & s:
+                s = s | c
+            else:
+                rest.append(c)
+        comps = rest + [s]
+    return comps
+
+
 @dataclass(frozen=True, init=False)
 class FineType:
     """Fine type of a point: entry k lists the generators whose sector k
@@ -186,31 +202,9 @@ class FineType:
         return all(self.entries)
 
     def dimension(self) -> int:
-        """Dimension of the cell with this type.
-
-        Count connected components of the graph on coordinates 1..d+1 whose
-        edges join coordinates with intersecting entries (empty entries stay
-        isolated), then subtract one.
-        """
-        n = len(self.entries)
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(n):
-            if not self.entries[i]:
-                continue
-            for j in range(i + 1, n):
-                if self.entries[i] & self.entries[j]:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-        roots = {find(i) for i in range(n)}
-        return len(roots) - 1
+        """Components of the coordinates, joined where their entries share a
+        generator (Develin & Sturmfels 2004), less one."""
+        return len(_components(self.entries)) - 1
 
     def contains(self, other: "FineType") -> bool:
         """Entrywise superset; closed cells nest opposite to type containment."""

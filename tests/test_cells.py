@@ -32,13 +32,23 @@ from tropmat.cells import (
     _as_generators,
     _closure,
     _constraints,
-    _pinned,
-    _pinned_classes,
     _scaled_rows,
 )
+from tropmat.minplus import _components
 from tropmat.polytopes import PolytopeModel
 
 F_VECTOR = (14, 78, 172, 180, 73)
+
+
+def _pinned(dist: list, u: int, v: int) -> bool:
+    a, b = dist[u][v], dist[v][u]
+    return a is not None and b is not None and a + b == 0
+
+
+def _pinned_classes(dist: list) -> list[int]:
+    """The least coordinate pinned to each coordinate (pinning is an
+    equivalence relation, so equal entries mean one affine class)."""
+    return [next(v for v in range(u + 1) if _pinned(dist, u, v)) for u in range(len(dist))]
 
 
 def affine_cell_dim(p: PolytopeModel | Sequence[TropicalPoint], ft: FineType) -> int:
@@ -412,6 +422,34 @@ class TestFaceMatrix:
     @settings(max_examples=20, deadline=None)
     def test_rational_generators(self, gens):
         face_matrix_ties(gens)
+
+
+def check_pinned_classes_are_components(gens, cx: CellComplexModel) -> None:
+    """The face closure's class-pair skip keys on the components of a
+    cell's argmin sets, a coordinate in no set being a class of its own;
+    they must be the pinned classes of the cell's closed matrix."""
+    rows, _ = _scaled_rows(_as_generators(gens))
+    n = len(rows[0])
+    for rec in cx.cells:
+        arg_sets = _argmin_sets(rec.fine_type)
+        classes: dict[int, set[int]] = {}
+        for u, c in enumerate(_pinned_classes(_closure(_constraints(rows, arg_sets)))):
+            classes.setdefault(c, set()).add(u)
+        comps = _components(arg_sets)
+        covered = frozenset().union(*comps)
+        expected = set(comps) | {frozenset((k,)) for k in range(n) if k not in covered}
+        assert {frozenset(c) for c in classes.values()} == expected
+
+
+class TestPinnedClasses:
+    def test_fixtures(self, running_polytope, running_complex, u24_polytope):
+        check_pinned_classes_are_components(running_polytope, running_complex)
+        check_pinned_classes_are_components(u24_polytope, enumerate_all_cells(u24_polytope))
+
+    @given(st.integers(3, 4).flatmap(lambda n: rational_configs(n, 4)))
+    @settings(max_examples=20, deadline=None)
+    def test_rational_generators(self, gens):
+        check_pinned_classes_are_components(gens, enumerate_all_cells(gens))
 
 
 class TestWorkCounts:

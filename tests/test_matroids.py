@@ -2,7 +2,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropmat import (
@@ -19,14 +19,14 @@ from tropmat import (
     parse_bases,
     uniform_matroid,
 )
-from tropmat.matroids import LabeledGraph, MatroidError, _spanning_trees_dc
+from tropmat.matroids import LabeledGraph, MatroidError
 
 from oracles import count_b
 
 
 def _spanning_trees_exhaustive(graph: LabeledGraph) -> list[frozenset[int]]:
-    """Oracle for the deletion/contraction enumeration: scan every
-    (|V|-1)-subset of edges and keep the acyclic ones."""
+    """Oracle for enumerate_bases: scan every (|V|-1)-subset of edges and
+    keep the acyclic ones, by union-find."""
     vidx = {v: i for i, v in enumerate(graph.vertices)}
     n_vertices = len(graph.vertices)
     k = n_vertices - 1
@@ -124,10 +124,48 @@ class TestSpanningTrees:
 
     def test_both_enumeration_strategies_agree(self, running_graph, k4_graph):
         for g in (running_graph, k4_graph):
-            vidx = {v: i for i, v in enumerate(g.vertices)}
-            triples = [(vidx[u], vidx[v], i + 1) for i, (u, v) in enumerate(g.edges)]
-            dc = set(_spanning_trees_dc(len(g.vertices), triples))
-            assert set(_spanning_trees_exhaustive(g)) == dc
+            assert set(_spanning_trees_exhaustive(g)) == set(enumerate_bases(g).bases)
+
+
+def _connected_oracle(n: int, edges: list[tuple[int, int]]) -> bool:
+    """Depth-first search from vertex 0 over an edge list on 0..n-1."""
+    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+@st.composite
+def simple_graphs(draw):
+    n = draw(st.integers(3, 6))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                          min_size=1, unique=True))
+    return n, edges
+
+
+class TestRandomGraphs:
+    @given(simple_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_validation_and_trees_against_oracles(self, nv_edges):
+        n, edges = nv_edges
+        obj = {"vertices": [str(v) for v in range(n)],
+               "edges": [[str(u), str(v)] for u, v in edges]}
+        if not _connected_oracle(n, edges):
+            with pytest.raises(DisconnectedGraphError):
+                graph_from_obj(obj)
+        elif any(not _connected_oracle(n, edges[:i] + edges[i + 1:]) for i in range(len(edges))):
+            with pytest.raises(BridgeEdgeError):
+                graph_from_obj(obj)
+        else:
+            g = graph_from_obj(obj)
+            assert set(enumerate_bases(g).bases) == set(_spanning_trees_exhaustive(g))
 
 
 class TestMatroidConstruction:

@@ -1,5 +1,8 @@
+from collections import Counter, deque
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from tropmat import (
     trop_combination,
     trop_segment,
 )
-from tropmat.minplus import rational_to_json, to_rational
+from tropmat.minplus import _components, rational_to_json, to_rational
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
@@ -140,6 +143,44 @@ class TestTypes:
         lams = [max(xj - vj for xj, vj in zip(x.coords, v.coords)) for v in GENS]
         rebuilt = trop_combination(lams, GENS)
         assert in_tconv(x, GENS) == (rebuilt == x)
+
+
+def components_oracle(sets: list) -> Counter:
+    """Breadth-first search over the positions of the sets, joining two
+    positions whose sets meet; the union of each component, with
+    multiplicity."""
+    left = set(range(len(sets)))
+    out = Counter()
+    while left:
+        queue = deque([left.pop()])
+        comp = []
+        while queue:
+            i = queue.popleft()
+            comp.append(sets[i])
+            near = [j for j in left if sets[i] & sets[j]]
+            left.difference_update(near)
+            queue.extend(near)
+        out[reduce(or_, comp)] += 1
+    return out
+
+
+small_sets = st.frozensets(st.integers(0, 9), max_size=3)
+
+
+class TestComponents:
+    @given(st.lists(small_sets, max_size=8))
+    def test_frozensets(self, sets):
+        assert Counter(_components(sets)) == components_oracle(sets)
+
+    @given(st.lists(small_sets.map(lambda s: sum(1 << e for e in s)), max_size=8))
+    def test_int_masks(self, masks):
+        assert Counter(_components(masks)) == components_oracle(masks)
+
+    def test_empty_sets_stay_apart(self):
+        empty = frozenset()
+        assert Counter(_components([empty, frozenset({1}), empty])) == {
+            empty: 2, frozenset({1}): 1}
+        assert Counter(_components([0, 0b11, 0b110, 0])) == {0: 2, 0b111: 1}
 
 
 class TestHalfspace:
