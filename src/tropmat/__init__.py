@@ -24,7 +24,6 @@ from .matroids import (
     ParallelEdgeError,
     check_exchange,
     enumerate_bases,
-    graph_from_obj,
     matroid_from_bases,
     non_bases,
     parse_bases,
@@ -56,7 +55,6 @@ from .ideals import (
     MonomialIdeal,
     divides,
     ideal_generators,
-    ideal_membership,
     is_minimal_generating,
     monomial_str,
 )

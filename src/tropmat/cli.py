@@ -57,7 +57,6 @@ from .minplus import (
     to_rational,
 )
 from .polytopes import (
-    PolytopeModel,
     build_polytope,
     maximal_bounded_cells,
     pseudovertex_label,
@@ -118,10 +117,6 @@ def _load_matroid(args):
     return uniform_matroid(k, d + 1)
 
 
-def _load_polytope(args) -> PolytopeModel:
-    return build_polytope(_load_matroid(args))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -143,14 +138,14 @@ def _cmd_nonbases(args) -> int:
 
 
 def _cmd_generators(args) -> int:
-    p = _load_polytope(args)
+    p = build_polytope(_load_matroid(args))
     _emit(args, lambda: [f"v{i + 1} = {_fmt_point(v)}" for i, v in enumerate(p.generators)],
           lambda: {"generators": [v.to_json() for v in p.generators]})
     return 0
 
 
 def _cmd_origin_type(args) -> int:
-    p = _load_polytope(args)
+    p = build_polytope(_load_matroid(args))
     ft = p.origin_type
     _emit(args, lambda: [f"type at 0: {_fmt_type(ft)}", f"coarse: {ft.coarse()}"],
           ft.to_json)
@@ -158,7 +153,7 @@ def _cmd_origin_type(args) -> int:
 
 
 def _cmd_corners(args) -> int:
-    p = _load_polytope(args)
+    p = build_polytope(_load_matroid(args))
     corners = [(i, corner_point(p.generators, i)) for i in range(1, p.n_coords + 1)]
     _emit(args, lambda: [f"c_{i} = {_fmt_point(c)}" for i, c in corners],
           lambda: {"corners": [{"index": i, "point": c.to_json()} for i, c in corners]})
@@ -166,7 +161,7 @@ def _cmd_corners(args) -> int:
 
 
 def _cmd_pseudovertices(args) -> int:
-    p = _load_polytope(args)
+    p = build_polytope(_load_matroid(args))
     pvs = [(pseudovertex_label(p, pv), pv) for pv in pseudovertices(p)]
     _emit(
         args,
@@ -188,7 +183,7 @@ def _cmd_pseudovertices(args) -> int:
 
 
 def _cmd_bounded_cells(args) -> int:
-    p = _load_polytope(args)
+    p = build_polytope(_load_matroid(args))
     cells = maximal_bounded_cells(p)
     _emit(
         args,
@@ -201,7 +196,7 @@ def _cmd_bounded_cells(args) -> int:
             {
                 "sequence": list(bc.sequence),
                 "basis_index": bc.basis_index,
-                "chain": [pt.to_json() for pt in bc.chain],
+                "chain": bc.chain,
                 "interior_type": bc.interior_type.to_json(),
             }
             for bc in cells
@@ -211,7 +206,7 @@ def _cmd_bounded_cells(args) -> int:
 
 
 def _cmd_complex(args) -> int:
-    p = _load_polytope(args)
+    p = build_polytope(_load_matroid(args))
     cx = enumerate_all_cells(p, cap=args.cap)
     fv = list(cx.f_vector)
     if args.with_empty_face:
@@ -246,7 +241,7 @@ def _cmd_coarse_types(args) -> int:
         _emit(args, lambda: [head] + [f"sequence {seq}: {t}" for seq, t in rows],
               lambda: [{"sequence": list(seq), "coarse": list(t)} for seq, t in rows])
         return 0
-    p = _load_polytope(args)
+    p = build_polytope(_load_matroid(args))
     if args.brute:
         recs = enumerate_maximal_cells(p, cap=args.cap)
         _emit(args, lambda: [f"{len(recs)} maximal cells by enumeration"]
@@ -290,7 +285,7 @@ def _parse_apex(text: str, n_coords: int) -> TropicalPoint:
 
 
 def _cmd_check_minimal(args) -> int:
-    p = _load_polytope(args)
+    p = build_polytope(_load_matroid(args))
     apex = _parse_apex(args.apex, p.n_coords)
     sectors = frozenset(int(s) for s in args.sectors.split(","))
     h = TropicalHalfspace(apex, sectors)
@@ -315,7 +310,7 @@ def _cmd_verify_exterior(args) -> int:
 
 
 def _cmd_skeleton(args) -> int:
-    p = _load_polytope(args)
+    p = build_polytope(_load_matroid(args))
     cx = enumerate_all_cells(p, cap=args.cap)
     print(skeleton_dot(p, cx.cells))
     return 0
@@ -378,7 +373,7 @@ def _check_polytope(name: str, m, cap: int) -> list[str]:
                       for rec in cx.cells if rec.dim == d}
             _require(set(hypersimplex_coarse_types(k, d)) == orbits,
                      f"{name}: hypersimplex coarse types disagree with the maximal cells")
-        ext = verify_exterior_description(hypersimplex_halfspaces(k, d), p.generators)
+        ext = verify_exterior_description(hypersimplex_halfspaces(k, d), p.generators, cap)
         _require(ext.ok, f"{name}: hypersimplex halfspaces with"
                  f" {len(ext.counterexamples)} counterexamples")
         notes.append(f"{ext.probes} probes, exterior description verified")

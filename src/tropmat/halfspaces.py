@@ -90,9 +90,7 @@ def is_minimal_halfspace(h: TropicalHalfspace, generators: Sequence[TropicalPoin
         if not any(t.entries[i - 1] & t.entries[j - 1] for i in sectors):
             return False
     for i in sectors:
-        rest = frozenset().union(
-            *(t.entries[k - 1] for k in sectors if k != i)
-        ) if len(sectors) > 1 else frozenset()
+        rest = frozenset().union(*(t.entries[k - 1] for k in sectors if k != i))
         if not any(
             (t.entries[i - 1] & t.entries[j - 1]) - rest for j in outside
         ):
@@ -104,7 +102,7 @@ def cornered_halfspaces(generators: Sequence[TropicalPoint]) -> HalfspaceSystem:
     """One halfspace per coordinate, with the corner as apex and sector {i}."""
     n = generators[0].n_coords
     return HalfspaceSystem(
-        TropicalHalfspace(corner_point(generators, i).canonical(), {i})
+        TropicalHalfspace(corner_point(generators, i), {i})
         for i in range(1, n + 1)
     )
 
@@ -120,7 +118,7 @@ def hypersimplex_halfspaces(k: int, d: int) -> HalfspaceSystem:
     gens = build_polytope(uniform_matroid(k, d + 1)).generators
     members = list(cornered_halfspaces(gens))
     if k >= 2:
-        origin = TropicalPoint.origin(d + 1)
+        origin = TropicalPoint([0] * (d + 1))
         members += [
             TropicalHalfspace(origin, c)
             for c in combinations(range(1, d + 2), d - k + 2)

@@ -70,12 +70,6 @@ def is_minimal_generating(ideal: MonomialIdeal) -> bool:
     return True
 
 
-def ideal_membership(t: Sequence[int], ideal: MonomialIdeal) -> bool:
-    """x^t lies in the ideal iff some generator divides it."""
-    tt = tuple(int(e) for e in t)
-    return any(divides(g, tt) for g in ideal.generators)
-
-
 def monomial_str(exponents: Sequence[int], zero_based: bool = False) -> str:
     shift = 0 if zero_based else 1
     parts = [

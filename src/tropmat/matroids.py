@@ -89,7 +89,9 @@ def _spans(masks: Sequence[int], n_vertices: int) -> bool:
     return _components(masks) == [(1 << n_vertices) - 1]
 
 
-def graph_from_obj(obj) -> LabeledGraph:
+def parse_graph(text: str) -> LabeledGraph:
+    """Parse a {"vertices": [...], "edges": [[u, v], ...]} JSON document."""
+    obj = json.loads(text)
     if not isinstance(obj, dict):
         raise GraphFormatError("graph JSON must be an object")
     try:
@@ -103,11 +105,6 @@ def graph_from_obj(obj) -> LabeledGraph:
         if not isinstance(e, list) or len(e) != 2:
             raise GraphFormatError(f"edge {e!r} is not a two element list")
     return LabeledGraph(vertices, edges)
-
-
-def parse_graph(text: str) -> LabeledGraph:
-    """Parse a {"vertices": [...], "edges": [[u, v], ...]} JSON document."""
-    return graph_from_obj(json.loads(text))
 
 
 @dataclass(frozen=True, init=False)
@@ -144,8 +141,8 @@ class GroundMatroid:
         }
 
 
-def _exchange_ok(bases: Sequence[frozenset[int]]) -> bool:
-    """Basis exchange on bitmasks.
+def check_exchange(bases: Iterable[Iterable[int]]) -> bool:
+    """Basis exchange property of a collection of bases, on bitmasks.
 
     N(B, u) is the set of v outside B with B - u + v a basis.  A pair
     (B, B') violates the axiom iff some u in B - B' has N(B, u) disjoint
@@ -153,6 +150,7 @@ def _exchange_ok(bases: Sequence[frozenset[int]]) -> bool:
     bases meeting X are collected as a bitset over basis positions, so one
     comparison with the full bitset tests (B, B') for every B' at once.
     """
+    bases = [frozenset(b) for b in bases]
     bit = {e: 1 << i for i, e in enumerate(sorted(frozenset().union(*bases)))}
     masks = [sum(bit[e] for e in b) for b in bases]
     mset = set(masks)
@@ -177,13 +175,6 @@ def _exchange_ok(bases: Sequence[frozenset[int]]) -> bool:
     return True
 
 
-def check_exchange(bases) -> bool:
-    """Basis exchange property for a GroundMatroid or a raw collection of sets."""
-    if isinstance(bases, GroundMatroid):
-        return _exchange_ok(bases.bases)
-    return _exchange_ok([frozenset(b) for b in bases])
-
-
 def matroid_from_bases(ground_size: int, bases: Iterable[Iterable[int]]) -> GroundMatroid:
     """Validate a basis list and build the matroid.
 
@@ -202,7 +193,7 @@ def matroid_from_bases(ground_size: int, bases: Iterable[Iterable[int]]) -> Grou
     for b in blist:
         if not b <= ground:
             raise MatroidError(f"basis {sorted(b)} leaves the ground set 1..{ground_size}")
-    if not _exchange_ok(blist):
+    if not check_exchange(blist):
         raise MatroidError("exchange property violated")
     covered = frozenset().union(*blist)
     if covered != ground:

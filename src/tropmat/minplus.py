@@ -57,14 +57,6 @@ class TropicalPoint:
             raise ValueError("a tropical point needs at least one coordinate")
         object.__setattr__(self, "coords", cs)
 
-    @classmethod
-    def of(cls, *coords) -> "TropicalPoint":
-        return cls(coords)
-
-    @classmethod
-    def origin(cls, n_coords: int) -> "TropicalPoint":
-        return cls([0] * n_coords)
-
     @property
     def n_coords(self) -> int:
         return len(self.coords)
@@ -75,11 +67,6 @@ class TropicalPoint:
         coordinate denominators (so den > 0); computed once, on first use."""
         den = lcm(*(c.denominator for c in self.coords))
         return tuple(c.numerator * (den // c.denominator) for c in self.coords), den
-
-    @property
-    def dim(self) -> int:
-        """Dimension d of the ambient torus (one less than the vector length)."""
-        return len(self.coords) - 1
 
     def canonical(self) -> "TropicalPoint":
         """Representative with minimum coordinate zero (all entries >= 0)."""

@@ -47,15 +47,25 @@ class PseudoVertex:
 class BoundedCell:
     """A maximal bounded cell, recorded through its defining sequence.
 
-    The chain lists the pseudovertices 0, e_{i_1}, ..., e_{i_1..i_m}; the
-    last one is the generator of the complementary basis.
+    The sequence orders the complement of the basis, and the cell is the
+    tropical convex hull of its chain.
     """
 
     sequence: tuple[int, ...]
     basis: frozenset[int]
     basis_index: int
-    chain: tuple[TropicalPoint, ...]
     interior_type: FineType
+
+    @property
+    def chain(self) -> tuple[tuple[int, ...], ...]:
+        """The pseudovertices 0, e_{i_1}, ..., e_{i_1..i_m} as 0/1 vectors,
+        one on each prefix of the sequence; the last one is the generator
+        of the basis."""
+        n = self.interior_type.n_coords
+        return tuple(
+            tuple(1 if i in self.sequence[:r] else 0 for i in range(1, n + 1))
+            for r in range(len(self.sequence) + 1)
+        )
 
 
 def build_polytope(m: GroundMatroid) -> PolytopeModel:
@@ -91,7 +101,7 @@ def _union_type(p: PolytopeModel, support: frozenset[int]) -> FineType:
     n = p.n_coords
     full = frozenset(range(1, p.n_generators + 1))
     comp = [i for i in range(1, n + 1) if i not in support]
-    hit = frozenset().union(*(t0[i - 1] for i in comp)) if comp else frozenset()
+    hit = frozenset().union(*(t0[i - 1] for i in comp))
     entries = []
     for j in range(1, n + 1):
         if j in support:
@@ -138,8 +148,8 @@ def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
 
     The sequences come from one walk over their prefixes in lexicographic
     preorder, so the peeled generators of a prefix are computed once and
-    shared by every cell whose sequence extends it.  A chain point depends
-    only on the set of the prefix and is built once per set.
+    shared by every cell whose sequence extends it.  The chain is read off
+    the sequence (BoundedCell.chain), so no point is built here.
     """
     m = p.matroid
     n = p.n_coords
@@ -147,21 +157,15 @@ def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
     full_len = n - m.rank
     index = {b: i for i, b in enumerate(m.bases, start=1)}
     ground = frozenset(range(1, n + 1))
-    points: dict[frozenset[int], TropicalPoint] = {}
-    # entry k of each list belongs to the prefix of length k: its chain
-    # point, the generators its coordinates eat, and the entry of its last
-    # coordinate (t0 minus what the shorter prefixes ate)
-    chain: list[TropicalPoint] = []
+    # entry k of each list belongs to the prefix of length k: the
+    # generators its coordinates eat, and the entry of its last coordinate
+    # (t0 minus what the shorter prefixes ate)
     eaten: list[frozenset[int]] = []
     peeled: list[frozenset[int] | None] = []
     cells = []
     for seq, _, _ in basis_avoiding_prefixes(m, full_len):
         r = len(seq)
-        del chain[r:], eaten[r:], peeled[r:]
-        support = ground - set(seq)
-        if support not in points:
-            points[support] = _support_point(n, support)
-        chain.append(points[support])
+        del eaten[r:], peeled[r:]
         if r:
             gens = t0[seq[-1] - 1]
             peeled.append(gens - eaten[-1])
@@ -171,14 +175,13 @@ def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
             eaten.append(frozenset())
         if r < full_len:
             continue
+        basis = ground - set(seq)
         entries: list[frozenset[int]] = [frozenset()] * n
         for i, entry in zip(seq, peeled[1:]):
             entries[i - 1] = entry
-        for j in support:
+        for j in basis:
             entries[j - 1] = t0[j - 1] - eaten[r]
-        cells.append(
-            BoundedCell(seq, support, index[support], tuple(chain), FineType(entries))
-        )
+        cells.append(BoundedCell(seq, basis, index[basis], FineType(entries)))
     return cells
 
 

@@ -159,7 +159,7 @@ class TestFullComplex:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_single_generator_gives_the_sector_fan(self, d):
-        cx = enumerate_all_cells([TropicalPoint.origin(d + 1)])
+        cx = enumerate_all_cells([TropicalPoint([0] * (d + 1))])
         assert cx.f_vector == tuple(comb(d + 1, d + 1 - i) for i in range(d + 1))
 
 

@@ -347,6 +347,23 @@ class TestFailurePaths:
         assert "ok" not in out
         assert err.strip() == "error: face closure: 1001 face candidates exceed cap 1000"
 
+    def test_check_cap_reaches_the_exterior_check(self, capsys, monkeypatch):
+        import tropmat.cli as cli
+        from tropmat.cells import DEFAULT_CAP
+
+        caps = []
+        original = cli.verify_exterior_description
+
+        def spying(system, generators, cap=DEFAULT_CAP):
+            caps.append(cap)
+            return original(system, generators, cap)
+
+        monkeypatch.setattr(cli, "verify_exterior_description", spying)
+        code, out, _ = run(capsys, "check", "--uniform", "2", "3", "--cap", "5000")
+        assert code == 0
+        assert out.splitlines()[-1] == "all 1 checks passed"
+        assert caps == [5000]
+
     def test_cap_only_where_enumeration_runs(self):
         import argparse
 

@@ -27,9 +27,9 @@ from tropmat import (
     maximal_cell_coarse_types,
     uniform_matroid,
 )
-from tropmat.matroids import GraphError, LabeledGraph, MatroidError, _exchange_ok
+from tropmat.matroids import GraphError, LabeledGraph, MatroidError
 from tropmat.minplus import FineType
-from tropmat.polytopes import BoundedCell, _support_point
+from tropmat.polytopes import BoundedCell
 
 from oracles import count_b, valid_sequences
 
@@ -70,7 +70,6 @@ def bounded_cells_oracle(p):
     cells = []
     for seq in valid_sequences_oracle(p, full_len):
         basis = ground - set(seq)
-        chain = tuple(_support_point(n, ground - set(seq[:r])) for r in range(full_len + 1))
         entries = [frozenset()] * n
         eaten = frozenset()
         for i in seq:
@@ -78,7 +77,7 @@ def bounded_cells_oracle(p):
             eaten |= t0[i - 1]
         for j in basis:
             entries[j - 1] = t0[j - 1] - eaten
-        cells.append(BoundedCell(seq, basis, m.basis_index(basis), chain, FineType(entries)))
+        cells.append(BoundedCell(seq, basis, m.basis_index(basis), FineType(entries)))
     return cells
 
 
@@ -110,7 +109,7 @@ def assert_agrees(m, pairwise=True):
     for length in range(m.ground_size - m.rank + 1):
         assert valid_sequences(p, length) == valid_sequences_oracle(p, length)
     assert maximal_bounded_cells(p) == bounded_cells_oracle(p)
-    assert _exchange_ok(m.bases) and exchange_oracle(m.bases)
+    assert check_exchange(m.bases) and exchange_oracle(m.bases)
     ideal = ideal_generators(m)
     # the premise of the one-degree shortcut: every type sums to #bases
     assert {sum(g) for g in ideal.generators} == {m.n_bases}
@@ -164,7 +163,7 @@ def test_random_graphs(graph):
 class TestExchange:
     def test_non_matroid_rejected_by_both(self):
         bases = [frozenset({1, 2}), frozenset({3, 4})]
-        assert not _exchange_ok(bases)
+        assert not check_exchange(bases)
         assert not exchange_oracle(bases)
         assert not check_exchange([{1, 2}, {3, 4}])
         with pytest.raises(MatroidError, match="exchange"):
@@ -176,7 +175,7 @@ class TestExchange:
                            min_size=1, max_size=12, unique=True)))
     @settings(max_examples=200, deadline=None)
     def test_random_families(self, bases):
-        assert _exchange_ok(bases) == exchange_oracle(bases)
+        assert check_exchange(bases) == exchange_oracle(bases)
 
 
 class TestMinimality:

@@ -168,7 +168,7 @@ class TestSystems:
     def test_system_3_3_shape(self):
         system = hypersimplex_halfspaces(3, 3)
         assert len(system) == 10
-        apex_zero = [h for h in system if h.apex == TropicalPoint.origin(4)]
+        apex_zero = [h for h in system if h.apex == TropicalPoint([0] * 4)]
         assert sorted(tuple(sorted(h.sectors)) for h in apex_zero) == [
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         ]
@@ -189,13 +189,13 @@ class TestMinimality:
 
     def test_non_containing_halfspace_rejected(self):
         gens = build_polytope(uniform_matroid(2, 4)).generators
-        h = TropicalHalfspace(TropicalPoint.origin(4), frozenset({1, 2}))
+        h = TropicalHalfspace(TropicalPoint([0] * 4), frozenset({1, 2}))
         with pytest.raises(ContainmentError, match="generator 6"):
             is_minimal_halfspace(h, gens)
 
     def test_loose_halfspace_is_not_minimal(self):
         gens = build_polytope(uniform_matroid(2, 4)).generators
-        h = TropicalHalfspace(TropicalPoint.of(2, 0, 0, 0), frozenset({1}))
+        h = TropicalHalfspace(TropicalPoint([2, 0, 0, 0]), frozenset({1}))
         assert all(halfspace_contains(h, v) for v in gens)
         assert not is_minimal_halfspace(h, gens)
 
@@ -242,7 +242,7 @@ class TestExteriorVerification:
         system = hypersimplex_halfspaces(2, 5)
         sub = HalfspaceSystem(
             h for h in system
-            if not (h.apex == TropicalPoint.origin(6) and h.sectors == {1, 2, 3, 4, 5})
+            if not (h.apex == TropicalPoint([0] * 6) and h.sectors == {1, 2, 3, 4, 5})
         )
         assert len(sub) == len(system) - 1
         report = verify_exterior_description(sub, gens)
@@ -257,9 +257,9 @@ class TestExteriorVerification:
 
     def test_generator_outside_the_system(self):
         gens = build_polytope(uniform_matroid(2, 4)).generators
-        h = TropicalHalfspace(TropicalPoint.origin(4), frozenset({1, 2}))
+        h = TropicalHalfspace(TropicalPoint([0] * 4), frozenset({1, 2}))
         report = verify_exterior_description(HalfspaceSystem([h]), gens)
-        assert report.counterexamples[0] == (TropicalPoint.of(1, 1, 0, 0), True, False)
+        assert report.counterexamples[0] == (TropicalPoint([1, 1, 0, 0]), True, False)
 
     def test_random_systems_agree_with_the_oracles(self):
         rng = random.Random(20101)

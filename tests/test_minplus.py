@@ -47,18 +47,18 @@ class TestRationals:
 
 class TestTropicalPoint:
     def test_canonical_has_zero_min(self):
-        p = TropicalPoint.of(5, 7, 6)
+        p = TropicalPoint([5, 7, 6])
         assert p.canonical().coords == (0, 2, 1)
 
     def test_translation_invariance_of_identity(self):
-        p = TropicalPoint.of(0, 2, 1)
+        p = TropicalPoint([0, 2, 1])
         q = p.translate(Fraction(7, 3))
         assert p == q
         assert hash(p) == hash(q)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
-            trop_segment(TropicalPoint.of(0, 1), TropicalPoint.of(0, 1, 2))
+            trop_segment(TropicalPoint([0, 1]), TropicalPoint([0, 1, 2]))
 
     @given(points(4), rationals)
     def test_class_representatives_are_equal(self, p, c):
@@ -67,7 +67,7 @@ class TestTropicalPoint:
 
 class TestSegment:
     def test_breakpoints_of_worked_example(self):
-        seg = trop_segment(TropicalPoint.of(0, 0, 0), TropicalPoint.of(0, 2, 5))
+        seg = trop_segment(TropicalPoint([0, 0, 0]), TropicalPoint([0, 2, 5]))
         assert [z.coords for z in seg] == [
             (0, 0, 0),
             (0, 2, 2),
@@ -89,7 +89,7 @@ class TestSegment:
 
 class TestCombination:
     def test_small_combination(self):
-        v = [TropicalPoint.of(0, 1), TropicalPoint.of(1, 0)]
+        v = [TropicalPoint([0, 1]), TropicalPoint([1, 0])]
         z = trop_combination([Fraction(0), Fraction(0)], v)
         assert z.coords == (0, 0)
 
@@ -100,19 +100,19 @@ class TestCombination:
 
 
 GENS = [
-    TropicalPoint.of(0, 0, 1),
-    TropicalPoint.of(1, 0, 0),
+    TropicalPoint([0, 0, 1]),
+    TropicalPoint([1, 0, 0]),
 ]
 
 
 class TestTypes:
     def test_fine_type_entries(self):
-        ft = fine_type(TropicalPoint.of(0, 0, 0), GENS)
+        ft = fine_type(TropicalPoint([0, 0, 0]), GENS)
         assert ft.entries == (frozenset({1}), frozenset({1, 2}), frozenset({2}))
         assert ft.coarse() == (1, 2, 1)
 
     def test_type_union_covers_every_generator(self):
-        ft = fine_type(TropicalPoint.of(5, 0, 0), GENS)
+        ft = fine_type(TropicalPoint([5, 0, 0]), GENS)
         assert ft.union() == frozenset({1, 2})
 
     @given(points(3))
@@ -186,20 +186,20 @@ class TestComponents:
 class TestHalfspace:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TropicalHalfspace(TropicalPoint.of(0, 0), frozenset())
+            TropicalHalfspace(TropicalPoint([0, 0]), frozenset())
         with pytest.raises(ValueError):
-            TropicalHalfspace(TropicalPoint.of(0, 0), frozenset({1, 2}))
+            TropicalHalfspace(TropicalPoint([0, 0]), frozenset({1, 2}))
         with pytest.raises(ValueError):
-            TropicalHalfspace(TropicalPoint.of(0, 0), frozenset({3}))
+            TropicalHalfspace(TropicalPoint([0, 0]), frozenset({3}))
 
     def test_contains(self):
-        h = TropicalHalfspace(TropicalPoint.of(0, 0, 0), frozenset({1}))
-        assert halfspace_contains(h, TropicalPoint.of(0, 1, 2))
-        assert not halfspace_contains(h, TropicalPoint.of(2, 0, 1))
+        h = TropicalHalfspace(TropicalPoint([0, 0, 0]), frozenset({1}))
+        assert halfspace_contains(h, TropicalPoint([0, 1, 2]))
+        assert not halfspace_contains(h, TropicalPoint([2, 0, 1]))
 
     @given(points(3), points(3))
     def test_halfspaces_are_tropically_convex(self, x, y):
-        h = TropicalHalfspace(TropicalPoint.of(0, 1, 0), frozenset({1, 3}))
+        h = TropicalHalfspace(TropicalPoint([0, 1, 0]), frozenset({1, 3}))
         if halfspace_contains(h, x) and halfspace_contains(h, y):
             assert all(halfspace_contains(h, z) for z in trop_segment(x, y))
 
@@ -207,8 +207,8 @@ class TestHalfspace:
 class TestCorner:
     def test_corner_of_two_generators(self):
         # entrywise minimum of v_j - v_i over the generators
-        assert corner_point(GENS, 1) == TropicalPoint.of(1, 0, 0)
-        assert corner_point(GENS, 3) == TropicalPoint.of(0, 0, 1)
+        assert corner_point(GENS, 1) == TropicalPoint([1, 0, 0])
+        assert corner_point(GENS, 3) == TropicalPoint([0, 0, 1])
 
     def test_corner_index_validation(self):
         with pytest.raises(ValueError):
@@ -278,14 +278,14 @@ class TestIntegerForm:
         assert den == lcm(*(c.denominator for c in p.coords))
 
     def test_computed_once_and_only_on_use(self):
-        p = TropicalPoint.of("1/2", "-2/3", 5)
+        p = TropicalPoint(["1/2", "-2/3", 5])
         assert "int_form" not in vars(p)
         first = p.int_form
         assert first == ((3, -4, 30), 6)
         assert p.int_form is first
 
     def test_point_stays_immutable_with_unchanged_identity(self):
-        p = TropicalPoint.of("1/2", 0, 3)
+        p = TropicalPoint(["1/2", 0, 3])
         q = p.translate(Fraction(5, 7))
         before = (hash(p), hash(q), p == q)
         p.int_form, q.int_form
@@ -319,9 +319,9 @@ class TestIntegerPredicatesMatchFractionOracles:
         assert halfspace_contains(moved, x.translate(c)) == expected
 
     def test_ties_across_denominators(self):
-        gens = [TropicalPoint.of("1/2", "1/3", 0), TropicalPoint.of(0, "-1/6", "-1/2")]
-        x = TropicalPoint.of("1/3", "1/6", "-1/6")
+        gens = [TropicalPoint(["1/2", "1/3", 0]), TropicalPoint([0, "-1/6", "-1/2"])]
+        x = TropicalPoint(["1/3", "1/6", "-1/6"])
         assert fine_type(x, gens).entries == fraction_fine_type(x, gens).entries == (
             frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2}))
-        h = TropicalHalfspace(TropicalPoint.of("1/2", "1/3", 0), {1})
+        h = TropicalHalfspace(TropicalPoint(["1/2", "1/3", 0]), {1})
         assert halfspace_contains(h, x) and fraction_halfspace_contains(h, x)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import chain, combinations
 from math import factorial
 
@@ -21,11 +22,8 @@ from oracles import valid_sequences
 
 def interior_point(cell: BoundedCell) -> TropicalPoint:
     """Ordinary average of the chain, a relative interior point of the cell."""
-    n = cell.chain[0].n_coords
     m = len(cell.chain)
-    return TropicalPoint(
-        sum(pt.coords[j] for pt in cell.chain) / m for j in range(n)
-    ).canonical()
+    return TropicalPoint(Fraction(sum(col), m) for col in zip(*cell.chain)).canonical()
 
 
 RUNNING_GENERATORS = [
@@ -135,11 +133,11 @@ class TestBoundedCells:
         bc = cells[(5, 3)]
         assert bc.basis == frozenset({1, 2, 4})
         assert bc.basis_index == 1
-        assert [pt.coords for pt in bc.chain] == [
+        assert bc.chain == (
             (0, 0, 0, 0, 0),
             (0, 0, 0, 0, 1),
             (0, 0, 1, 0, 1),
-        ]
+        )
         assert bc.interior_type.entries == (
             frozenset({1}),
             frozenset({1}),
@@ -147,6 +145,18 @@ class TestBoundedCells:
             frozenset({1}),
             frozenset({2, 4, 5, 7, 8}),
         )
+
+    def test_chain_is_read_off_the_sequence(self, running_matroid, k4_matroid):
+        for m in (running_matroid, k4_matroid, uniform_matroid(2, 5)):
+            p = build_polytope(m)
+            n = p.n_coords
+            ground = frozenset(range(1, n + 1))
+            for bc in maximal_bounded_cells(p):
+                seq = bc.sequence
+                assert len(bc.chain) == len(seq) + 1
+                for r, pt in enumerate(bc.chain):
+                    assert pt == _support_point(n, ground - set(seq[:r])).coords
+                assert bc.chain[-1] == p.generators[bc.basis_index - 1].coords
 
     def test_interior_points_realize_the_stored_types(self, running_polytope):
         for bc in maximal_bounded_cells(running_polytope):
