@@ -45,7 +45,7 @@ compares the two.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import compress
 from math import comb, lcm
@@ -263,10 +263,6 @@ def enumerate_maximal_cells(
 
     descend(0, _closure([[None] * n] * n))
     found.sort(key=lambda r: r.fine_type.key())
-    d = n - 1
-    for rec in found:
-        if rec.dim != d:
-            raise AssertionError("argmin assignment produced a non maximal cell")
     return found
 
 
@@ -343,11 +339,8 @@ def enumerate_all_cells(
                     visited[new_sets] = _record(gens, rows, den, new_sets)
                     queue.append((new_sets, face))
     cells = tuple(sorted(visited.values(), key=lambda r: (r.dim, r.fine_type.key())))
-    d = n - 1
-    fv = [0] * (d + 1)
-    for rec in cells:
-        fv[rec.dim] += 1
-    return CellComplexModel(n, cells, tuple(fv))
+    dims = Counter(rec.dim for rec in cells)
+    return CellComplexModel(n, cells, tuple(dims[k] for k in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +363,7 @@ def maximal_cell_coarse_types(m: GroundMatroid) -> list[tuple[tuple[int, ...], t
     b_{i_l,{i_1..i_{l-1}}} = a_{l-1} - a_l.
     """
     n = m.ground_size
-    rows_by_len: list[list] = [[] for _ in range(n + 1)]
+    rows = []
     sizes: list[int] = []      # sizes[l] = a_l along the current tuple
     for seq, avoid, kids in basis_avoiding_prefixes(m, n):
         dp = len(seq)
@@ -380,13 +373,13 @@ def maximal_cell_coarse_types(m: GroundMatroid) -> list[tuple[tuple[int, ...], t
         for l in range(dp):
             base[seq[l] - 1] = sizes[l] - sizes[l + 1]
         head = seq[0] - 1 if dp else None
-        rows = rows_by_len[dp]
         for last, child in kids:
             t = base.copy()
             t[last - 1] = sizes[dp] - len(child)
             t[last - 1 if head is None else head] += len(child)
             rows.append((seq + (last,), tuple(t)))
-    return [row for rows in rows_by_len for row in rows]
+    # the walk is lexicographic, and the sort is stable
+    return sorted(rows, key=lambda row: len(row[0]))
 
 
 def hypersimplex_coarse_types(k: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -438,15 +431,7 @@ class CrossValidationReport:
         return "; ".join(parts)
 
     def to_json_obj(self) -> dict:
-        return {
-            "ok": self.ok,
-            "cell_count": self.cell_count,
-            "formula_count": self.formula_count,
-            "multiset_equal": self.multiset_equal,
-            "set_equal": self.set_equal,
-            "only_enumerated": [[list(t), c] for t, c in self.only_enumerated],
-            "only_formula": [[list(t), c] for t, c in self.only_formula],
-        }
+        return {"ok": self.ok, **asdict(self)}
 
 
 def cross_validate(p: PolytopeModel, cap: int = DEFAULT_CAP) -> CrossValidationReport:

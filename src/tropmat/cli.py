@@ -15,12 +15,10 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from math import comb
 
 from .cells import (
     DEFAULT_CAP,
-    CapExceeded,
     compare_coarse_types,
     cross_validate,
     enumerate_all_cells,
@@ -29,7 +27,6 @@ from .cells import (
     maximal_cell_coarse_types,
 )
 from .halfspaces import (
-    ContainmentError,
     hypersimplex_halfspaces,
     inequality_str,
     is_minimal_halfspace,
@@ -41,7 +38,6 @@ from .ideals import (
     monomial_str,
 )
 from .matroids import (
-    GraphError,
     MatroidError,
     enumerate_bases,
     non_bases,
@@ -54,7 +50,6 @@ from .minplus import (
     TropicalPoint,
     corner_point,
     fine_type,
-    to_rational,
 )
 from .polytopes import (
     build_polytope,
@@ -281,7 +276,7 @@ def _parse_apex(text: str, n_coords: int) -> TropicalPoint:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n_coords:
         raise MatroidError(f"apex needs {n_coords} comma separated coordinates")
-    return TropicalPoint(to_rational(Fraction(p)) for p in parts)
+    return TropicalPoint(parts)
 
 
 def _cmd_check_minimal(args) -> int:
@@ -490,8 +485,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, MatroidError, ContainmentError, CapExceeded,
-            OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

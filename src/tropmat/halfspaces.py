@@ -203,6 +203,9 @@ def verify_exterior_description(
             return
         for k, ws in members[m]:
             key = chosen | {(k, ws)}
+            # sound only because the skip loop ran first: a member with an
+            # already chosen sector contains the cell and was skipped there,
+            # so key never equals chosen, which is in seen
             if key in seen:
                 continue
             seen.add(key)

@@ -264,8 +264,15 @@ def basis_avoiding_prefixes(m: GroundMatroid, max_len: int) -> Iterator[tuple]:
 
 
 def parse_bases(text: str) -> GroundMatroid:
-    """Parse a {"ground_size": m, "bases": [[...], ...]} JSON document."""
+    """Parse a {"ground_size": m, "bases": [[...], ...]} JSON document whose
+    numbers are all ints (JSON booleans and floats are rejected)."""
     obj = json.loads(text)
     if not isinstance(obj, dict) or "ground_size" not in obj or "bases" not in obj:
         raise MatroidError("basis JSON needs 'ground_size' and 'bases'")
-    return matroid_from_bases(obj["ground_size"], obj["bases"])
+    ground_size, bases = obj["ground_size"], obj["bases"]
+    if type(ground_size) is not int:
+        raise MatroidError(f"'ground_size' must be an integer, got {ground_size!r}")
+    if not isinstance(bases, list) or not all(
+            isinstance(b, list) and all(type(e) is int for e in b) for b in bases):
+        raise MatroidError("'bases' must be a list of lists of integers")
+    return matroid_from_bases(ground_size, bases)

@@ -30,10 +30,14 @@ class DimensionMismatch(ValueError):
 
 
 def to_rational(value) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to Fraction; reject floats."""
+    """Coerce ints, Fractions and "p/q" strings to Fraction; reject floats
+    and zero denominators."""
     if isinstance(value, (float, bool)):
         raise TypeError(f"exact rational required, got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def rational_to_json(q: Fraction):

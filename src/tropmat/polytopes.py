@@ -11,6 +11,7 @@ cross-check them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 from .matroids import GroundMatroid, basis_avoiding_prefixes
@@ -28,10 +29,6 @@ class PolytopeModel:
     @property
     def n_coords(self) -> int:
         return self.matroid.ground_size
-
-    @property
-    def n_generators(self) -> int:
-        return len(self.generators)
 
 
 @dataclass(frozen=True)
@@ -74,10 +71,7 @@ def build_polytope(m: GroundMatroid) -> PolytopeModel:
     Entry i of the origin type is the set of bases containing i.
     """
     n = m.ground_size
-    gens = tuple(
-        TropicalPoint(0 if i in b else 1 for i in range(1, n + 1))
-        for b in m.bases
-    )
+    gens = tuple(_support_point(n, b) for b in m.bases)
     origin = FineType(
         [{j for j, b in enumerate(m.bases, start=1) if i in b}
          for i in range(1, n + 1)]
@@ -91,50 +85,35 @@ def _support_point(n: int, support: frozenset[int]) -> TropicalPoint:
 
 
 def _union_type(p: PolytopeModel, support: frozenset[int]) -> FineType:
-    """Fine type of -e_J for a union of bases J, by the closed formula.
+    """Fine type of -e_J, by the closed formula.
 
-    With T0 the origin type and J^C = {i_1, ..., i_r}: entry j is
-    T0_j minus the union of the T0_{i_l} when j lies in J, and otherwise
-    T0_j together with the complement of that union.
+    v_B - (-e_J) is least on B and off J when B lies inside J, and on B - J
+    otherwise.  So with T0 the origin type and I the indices of the bases
+    inside J, entry j is T0_j & I for j in J and T0_j | I otherwise.
     """
-    t0 = p.origin_type.entries
-    n = p.n_coords
-    full = frozenset(range(1, p.n_generators + 1))
-    comp = [i for i in range(1, n + 1) if i not in support]
-    hit = frozenset().union(*(t0[i - 1] for i in comp))
-    entries = []
-    for j in range(1, n + 1):
-        if j in support:
-            entries.append(t0[j - 1] - hit)
-        else:
-            entries.append(t0[j - 1] | (full - hit))
-    return FineType(entries)
+    inside = frozenset(i for i, b in enumerate(p.matroid.bases, start=1) if b <= support)
+    return FineType(e & inside if j in support else e | inside
+                    for j, e in enumerate(p.origin_type.entries, start=1))
 
 
 def pseudovertices(p: PolytopeModel) -> list[PseudoVertex]:
     """All 0-cells of the complex: points -e_J for J a union of bases.
 
-    Candidate supports are the union closure of the basis list; a candidate
-    only counts when its type is actually zero dimensional (the support of
-    all bases can land in the interior of a bigger cell).  Sorted by
-    (|J|, lex J).
+    With no loop, the unions of bases are exactly the sets J that contain a
+    basis: an element e of J outside a basis B inside J is not a loop, so
+    it exchanges into B, and B - b + e is a basis inside J.  A support only
+    counts when its type is actually zero dimensional (the support of all
+    bases can land in the interior of a bigger cell).  Supports run in
+    (|J|, lex J) order.
     """
-    closure: set[frozenset[int]] = set(p.matroid.bases)
-    frontier = set(closure)
-    while frontier:
-        new = set()
-        for j in frontier:
-            for b in p.matroid.bases:
-                u = j | b
-                if u not in closure:
-                    new.add(u)
-        closure |= new
-        frontier = new
+    n = p.n_coords
     out = []
-    for support in sorted(closure, key=lambda s: (len(s), tuple(sorted(s)))):
-        ft = _union_type(p, support)
-        if ft.dimension() == 0:
-            out.append(PseudoVertex(support, _support_point(p.n_coords, support), ft))
+    for size in range(p.matroid.rank, n + 1):
+        for support in map(frozenset, combinations(range(1, n + 1), size)):
+            if any(b <= support for b in p.matroid.bases):
+                ft = _union_type(p, support)
+                if ft.dimension() == 0:
+                    out.append(PseudoVertex(support, _support_point(n, support), ft))
     return out
 
 
@@ -143,8 +122,10 @@ def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
 
     A complete sequence orders the complement of a basis B; the cell is the
     tropical convex hull of the chain 0, e_{i_1}, ..., e_{i_1..i_m} ending at
-    the generator of B, and its interior type peels the origin type along
-    the sequence while the coordinates of B keep exactly the index of B.
+    the generator of B.  Its interior type peels the origin type along the
+    sequence: entry i_l keeps the generators of T0_{i_l} that no earlier
+    i_1..i_{l-1} took.  Every coordinate of B keeps only the index of B,
+    because every other basis meets the sequence.
 
     The sequences come from one walk over their prefixes in lexicographic
     preorder, so the peeled generators of a prefix are computed once and
@@ -154,33 +135,28 @@ def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
     m = p.matroid
     n = p.n_coords
     t0 = p.origin_type.entries
-    full_len = n - m.rank
     index = {b: i for i, b in enumerate(m.bases, start=1)}
     ground = frozenset(range(1, n + 1))
-    # entry k of each list belongs to the prefix of length k: the
-    # generators its coordinates eat, and the entry of its last coordinate
-    # (t0 minus what the shorter prefixes ate)
-    eaten: list[frozenset[int]] = []
-    peeled: list[frozenset[int] | None] = []
+    # along the current sequence: eaten[k] holds the generators its first k
+    # coordinates eat, and peeled[k] the entry of coordinate k + 1 (t0
+    # minus what the shorter prefixes ate)
+    eaten = [frozenset()]
+    peeled: list[frozenset[int]] = []
     cells = []
-    for seq, _, _ in basis_avoiding_prefixes(m, full_len):
+    for seq, _, kids in basis_avoiding_prefixes(m, n - m.rank):
         r = len(seq)
-        del eaten[r:], peeled[r:]
         if r:
+            del eaten[r:], peeled[r - 1:]
             gens = t0[seq[-1] - 1]
             peeled.append(gens - eaten[-1])
             eaten.append(eaten[-1] | gens)
-        else:
-            peeled.append(None)
-            eaten.append(frozenset())
-        if r < full_len:
+        if kids:    # empty exactly on the complete sequences
             continue
         basis = ground - set(seq)
-        entries: list[frozenset[int]] = [frozenset()] * n
-        for i, entry in zip(seq, peeled[1:]):
+        own = frozenset((index[basis],))
+        entries = [own] * n
+        for i, entry in zip(seq, peeled):
             entries[i - 1] = entry
-        for j in basis:
-            entries[j - 1] = t0[j - 1] - eaten[r]
         cells.append(BoundedCell(seq, basis, index[basis], FineType(entries)))
     return cells
 

@@ -333,6 +333,33 @@ class TestFailurePaths:
         assert code == 2
         assert out.startswith("MISMATCH")
 
+    def test_rank_one_report_json(self, capsys):
+        code, out, _ = run(capsys, "coarse-types", "--cross-validate", "--format", "json",
+                           "--uniform", "1", "2")
+        assert code == 2
+        assert out == (
+            '{"cell_count": 10, "formula_count": 15, "multiset_equal": false, "ok": false,'
+            ' "only_enumerated": [], "only_formula": [[[1, 1, 1], 5]], "set_equal": true}\n')
+
+    @pytest.mark.parametrize("doc", [
+        '{"ground_size": "3", "bases": [[1, 2], [1, 3], [2, 3]]}',
+        '{"ground_size": 3, "bases": [1, 2]}',
+        '{"ground_size": 3, "bases": [[1.9, 2], [1, 3], [2, 3]]}',
+        '{"ground_size": 3, "bases": [[true, 2], [1, 3], [2, 3]]}',
+    ])
+    def test_malformed_basis_file(self, capsys, tmp_path, doc):
+        path = tmp_path / "bases.json"
+        path.write_text(doc)
+        code, _, err = run(capsys, "bases", "--bases", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_zero_denominator_apex(self, capsys):
+        code, _, err = run(capsys, "check-minimal", "--uniform", "2", "3",
+                           "--apex", "1/0,0,0,0", "--sectors", "1")
+        assert code == 1
+        assert err.startswith("error:") and "1/0" in err
+
     def test_cap_exceeded(self, capsys, graph_path):
         code, _, err = run(
             capsys, "complex", "--graph", graph_path, "--cap", "100"

@@ -1,10 +1,12 @@
 """The closed forms against straightforward oracles.
 
 The oracles are the direct implementations the prefix walk, the degree
-test and the bitmask exchange check replaced: permutations with count_b
-for the coarse type formula, permutations filtered by a disjoint basis for
-the valid sequences and the bounded cells, the frozenset exchange test and
-the pairwise divisibility test.  Outputs must agree exactly, row order
+test, the bitmask exchange check and the superset scan replaced:
+permutations with count_b for the coarse type formula, permutations
+filtered by a disjoint basis for the valid sequences and the bounded
+cells, the frozenset exchange test, the pairwise divisibility test, and
+the union closure of the bases, typed at each point, for the
+pseudovertices.  Outputs must agree exactly, row order
 included.
 """
 
@@ -25,11 +27,12 @@ from tropmat import (
     matroid_from_bases,
     maximal_bounded_cells,
     maximal_cell_coarse_types,
+    pseudovertices,
     uniform_matroid,
 )
 from tropmat.matroids import GraphError, LabeledGraph, MatroidError
-from tropmat.minplus import FineType
-from tropmat.polytopes import BoundedCell
+from tropmat.minplus import FineType, fine_type
+from tropmat.polytopes import BoundedCell, PseudoVertex, _support_point
 
 from oracles import count_b, valid_sequences
 
@@ -81,6 +84,27 @@ def bounded_cells_oracle(p):
     return cells
 
 
+def pseudovertices_oracle(p):
+    closure = set(p.matroid.bases)
+    frontier = set(closure)
+    while frontier:
+        new = set()
+        for j in frontier:
+            for b in p.matroid.bases:
+                u = j | b
+                if u not in closure:
+                    new.add(u)
+        closure |= new
+        frontier = new
+    out = []
+    for support in sorted(closure, key=lambda s: (len(s), tuple(sorted(s)))):
+        point = _support_point(p.n_coords, support)
+        ft = fine_type(point, p.generators)
+        if ft.dimension() == 0:
+            out.append(PseudoVertex(support, point, ft))
+    return out
+
+
 def exchange_oracle(bases):
     bset = set(bases)
     for bu in bases:
@@ -109,6 +133,7 @@ def assert_agrees(m, pairwise=True):
     for length in range(m.ground_size - m.rank + 1):
         assert valid_sequences(p, length) == valid_sequences_oracle(p, length)
     assert maximal_bounded_cells(p) == bounded_cells_oracle(p)
+    assert pseudovertices(p) == pseudovertices_oracle(p)
     assert check_exchange(m.bases) and exchange_oracle(m.bases)
     ideal = ideal_generators(m)
     # the premise of the one-degree shortcut: every type sums to #bases
