@@ -9,8 +9,6 @@ from .minplus import (
     fine_type,
     halfspace_contains,
     in_tconv,
-    trop_combination,
-    trop_segment,
 )
 from .matroids import (
     BridgeEdgeError,

@@ -348,7 +348,7 @@ def enumerate_all_cells(
 
 
 def maximal_cell_coarse_types(m: GroundMatroid) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Coarse types of maximal cells from basis counting.
+    """Coarse types of maximal cells from basis counting, one row per cell.
 
     For every duplicate-free tuple (i_1, ..., i_{d'}) whose complement
     contains a basis (d' from 0 to d-k+1) and every further coordinate
@@ -357,12 +357,20 @@ def maximal_cell_coarse_types(m: GroundMatroid) -> list[tuple[tuple[int, ...], t
     Returns (full tuple, coarse type) pairs, by length and then
     lexicographically.
 
+    Swapping two adjacent parallel coordinates gives the same type, so
+    only tuples whose adjacent parallel pairs increase are listed: from
+    position 2 on the walk drops the others, and the pair at positions 1
+    and 2 is dropped here when no basis misses the whole tuple (otherwise
+    position 1 carries those bases and the two types differ).  On a
+    simple matroid nothing is dropped.
+
     One walk over the tuples in lexicographic preorder carries the bases
     missing the tuple, so every count is a difference of two list
     lengths: with a_l the number of bases missing (i_1..i_l),
     b_{i_l,{i_1..i_{l-1}}} = a_{l-1} - a_l.
     """
     n = m.ground_size
+    par = m.parallel
     rows = []
     sizes: list[int] = []      # sizes[l] = a_l along the current tuple
     for seq, avoid, kids in basis_avoiding_prefixes(m, n):
@@ -374,10 +382,13 @@ def maximal_cell_coarse_types(m: GroundMatroid) -> list[tuple[tuple[int, ...], t
             base[seq[l] - 1] = sizes[l] - sizes[l + 1]
         head = seq[0] - 1 if dp else None
         for last, child in kids:
+            full = seq + (last,)
+            if not child and dp and full[1] < full[0] and par[full[0]] >> full[1] & 1:
+                continue
             t = base.copy()
             t[last - 1] = sizes[dp] - len(child)
             t[last - 1 if head is None else head] += len(child)
-            rows.append((seq + (last,), tuple(t)))
+            rows.append((full, tuple(t)))
     # the walk is lexicographic, and the sort is stable
     return sorted(rows, key=lambda row: len(row[0]))
 
@@ -391,8 +402,8 @@ def hypersimplex_coarse_types(k: int, d: int) -> tuple[tuple[int, ...], ...]:
     zeros.  a = 0 is excluded: its leading entry would exceed the number of
     generators.
     """
-    if not 2 <= k <= d:
-        raise ValueError("hypersimplex coarse types require 2 <= k <= d")
+    if not 1 <= k <= d:
+        raise ValueError("hypersimplex coarse types require 1 <= k <= d")
     out = []
     for a in range(1, d + 2 - k + 1):
         row = [comb(d + 1 - a, k) + comb(d, k - 1)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -127,6 +128,25 @@ class GroundMatroid:
     def ground(self) -> range:
         return range(1, self.ground_size + 1)
 
+    @cached_property
+    def parallel(self) -> tuple[int, ...]:
+        """Entry i is the bitmask (bit e for element e) of the elements
+        parallel to i: those that share no basis with it.  Entry 0 is 0.
+
+        Swapping two adjacent parallel elements of a coordinate tuple leaves
+        every basis count along it unchanged, so the closed forms keep only
+        one order of each such pair (basis_avoiding_prefixes).  A simple
+        matroid, such as a graph's or a uniform matroid of rank at least
+        two, has no parallel pair.
+        """
+        held = [0] * (self.ground_size + 1)   # held[i]: union of the bases holding i
+        for b in self.bases:
+            mask = sum(1 << e for e in b)
+            for e in b:
+                held[e] |= mask
+        ground = (1 << (self.ground_size + 1)) - 2
+        return (0,) + tuple(ground & ~h for h in held[1:])
+
     def basis_index(self, basis: frozenset[int]) -> int:
         """1-based position of a basis in the lexicographic list."""
         for i, b in enumerate(self.bases, start=1):
@@ -240,24 +260,35 @@ def non_bases(m: GroundMatroid) -> list[frozenset[int]]:
 
 def basis_avoiding_prefixes(m: GroundMatroid, max_len: int) -> Iterator[tuple]:
     """Duplicate-free coordinate tuples whose complement contains a basis,
-    in lexicographic preorder, up to length max_len.
+    in lexicographic preorder, up to length max_len, with each adjacent
+    pair of parallel elements from position 2 on in increasing order.
 
     Yields (seq, avoid, kids): avoid lists the bases missing seq as
-    bitmasks (bit e for element e), and kids pairs every further element
-    i outside seq with the bases missing seq + (i,), or is empty at
+    bitmasks (bit e for element e), and kids pairs every element i that
+    may follow seq with the bases missing seq + (i,); it is empty at
     max_len.  b_{i,S}, the number of bases containing i and missing S,
     is len(avoid) - len(child) for the child of i.  The walk descends
-    into the nonempty kids only, which are exactly the longer tuples.
+    into the nonempty kids only.
+
+    Parallel elements i and j lie in no common basis, so b_{i,S} =
+    b_{i,S+(j,)} and b_{j,S} = b_{j,S+(i,)}: the counts along a tuple do
+    not change when i and j trade places, and only the increasing order
+    is kept.  The pair at positions 1 and 2 is left to the callers,
+    because the formula also counts the bases missing the whole tuple at
+    position 1.
     """
     n = m.ground_size
+    par = m.parallel
     stack = [((), [sum(1 << e for e in b) for b in m.bases])]
     while stack:
         seq, avoid = stack.pop()
         kids = []
         if len(seq) < max_len:
+            # the elements parallel to seq[-1] that would follow it in decreasing order
+            skip = par[seq[-1]] & ((1 << seq[-1]) - 1) if len(seq) >= 2 else 0
             for i in range(1, n + 1):
-                if i not in seq:
-                    bit = 1 << i
+                bit = 1 << i
+                if i not in seq and not bit & skip:
                     kids.append((i, [b for b in avoid if not b & bit]))
         yield seq, avoid, kids
         stack.extend((seq + (i,), child) for i, child in reversed(kids) if child)

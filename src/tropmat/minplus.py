@@ -77,20 +77,6 @@ class TropicalPoint:
         m = min(self.coords)
         return TropicalPoint(c - m for c in self.coords)
 
-    def translate(self, deltas) -> "TropicalPoint":
-        """Shift by a vector, or by a scalar applied to every coordinate.
-
-        A scalar shift does not move the point in the torus; it only
-        changes the representative.
-        """
-        if isinstance(deltas, (int, str, Fraction)):
-            ds = (to_rational(deltas),) * len(self.coords)
-        else:
-            ds = tuple(to_rational(d) for d in deltas)
-        if len(ds) != len(self.coords):
-            raise DimensionMismatch("translation vector has wrong length")
-        return TropicalPoint(c + d for c, d in zip(self.coords, ds))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropicalPoint):
             return NotImplemented
@@ -116,34 +102,6 @@ def _same_torus(points: Iterable[TropicalPoint]) -> int:
         if p.n_coords != n:
             raise DimensionMismatch("points live in different tori")
     return n
-
-
-def trop_combination(coeffs: Iterable, points: Sequence[TropicalPoint]) -> TropicalPoint:
-    """Tropical linear combination: componentwise min of (c_i + p_i)."""
-    cs = [to_rational(c) for c in coeffs]
-    if len(cs) != len(points):
-        raise ValueError("one coefficient per point required")
-    n = _same_torus(points)
-    return TropicalPoint(
-        min(c + p.coords[j] for c, p in zip(cs, points)) for j in range(n)
-    )
-
-
-def trop_segment(x: TropicalPoint, y: TropicalPoint) -> list[TropicalPoint]:
-    """Breakpoints of the tropical segment from x to y, endpoints included.
-
-    The segment is the image of (lam + x) min (mu + y); only t = mu - lam
-    matters up to the class.  Coordinate j switches from the x-side to the
-    y-side as t drops below x_j - y_j, so the breakpoints sit at the distinct
-    coordinate differences.  There are at most d+1 of them.
-    """
-    _same_torus((x, y))
-    cuts = sorted({xj - yj for xj, yj in zip(x.coords, y.coords)}, reverse=True)
-    out = []
-    for t in cuts:
-        z = TropicalPoint(min(xj, t + yj) for xj, yj in zip(x.coords, y.coords))
-        out.append(z.canonical())
-    return out
 
 
 def _components(sets):

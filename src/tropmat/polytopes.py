@@ -101,10 +101,14 @@ def pseudovertices(p: PolytopeModel) -> list[PseudoVertex]:
 
     With no loop, the unions of bases are exactly the sets J that contain a
     basis: an element e of J outside a basis B inside J is not a loop, so
-    it exchanges into B, and B - b + e is a basis inside J.  A support only
-    counts when its type is actually zero dimensional (the support of all
-    bases can land in the interior of a bigger cell).  Supports run in
-    (|J|, lex J) order.
+    it exchanges into B, and B - b + e is a basis inside J.  The type of
+    -e_J is zero dimensional when its coordinates are connected through
+    shared bases, and that holds for every such J but one.  For J other
+    than the ground set, every coordinate outside J holds all the bases
+    inside J, and every coordinate of J holds one of them.  For the ground
+    set the type is the origin type, which is connected from rank two on;
+    at rank one the origin lies inside the tropical simplex, and the
+    dimension test drops it.  Supports run in (|J|, lex J) order.
     """
     n = p.n_coords
     out = []
@@ -118,7 +122,8 @@ def pseudovertices(p: PolytopeModel) -> list[PseudoVertex]:
 
 
 def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
-    """One maximal bounded cell per complete valid sequence.
+    """One maximal bounded cell per complete valid sequence, up to
+    swapping adjacent parallel elements.
 
     A complete sequence orders the complement of a basis B; the cell is the
     tropical convex hull of the chain 0, e_{i_1}, ..., e_{i_1..i_m} ending at
@@ -126,6 +131,13 @@ def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
     sequence: entry i_l keeps the generators of T0_{i_l} that no earlier
     i_1..i_{l-1} took.  Every coordinate of B keeps only the index of B,
     because every other basis meets the sequence.
+
+    Swapping two adjacent parallel elements of the sequence gives the same
+    type, so only sequences whose adjacent parallel pairs increase are
+    kept.  At rank one the basis {b} can also trade places with the last
+    element: both types put each basis at its own element.  So there the
+    last element must be smaller than b, and the single cell left is the
+    tropical simplex.
 
     The sequences come from one walk over their prefixes in lexicographic
     preorder, so the peeled generators of a prefix are computed once and
@@ -135,6 +147,7 @@ def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
     m = p.matroid
     n = p.n_coords
     t0 = p.origin_type.entries
+    par = m.parallel
     index = {b: i for i, b in enumerate(m.bases, start=1)}
     ground = frozenset(range(1, n + 1))
     # along the current sequence: eaten[k] holds the generators its first k
@@ -143,16 +156,23 @@ def maximal_bounded_cells(p: PolytopeModel) -> list[BoundedCell]:
     eaten = [frozenset()]
     peeled: list[frozenset[int]] = []
     cells = []
-    for seq, _, kids in basis_avoiding_prefixes(m, n - m.rank):
+    for seq, _, _ in basis_avoiding_prefixes(m, n - m.rank):
         r = len(seq)
         if r:
             del eaten[r:], peeled[r - 1:]
             gens = t0[seq[-1] - 1]
             peeled.append(gens - eaten[-1])
             eaten.append(eaten[-1] | gens)
-        if kids:    # empty exactly on the complete sequences
+        if r < n - m.rank:
             continue
+        # the walk orders the parallel pairs from position 2 on; the first
+        # pair is ordered here, and so is the last element against the
+        # basis at rank one, where every two elements are parallel
         basis = ground - set(seq)
+        if r >= 2 and seq[1] < seq[0] and par[seq[0]] >> seq[1] & 1:
+            continue
+        if m.rank == 1 and seq[-1] > min(basis):
+            continue
         own = frozenset((index[basis],))
         entries = [own] * n
         for i, entry in zip(seq, peeled):

@@ -36,6 +36,8 @@ from tropmat import (
 )
 from tropmat.polytopes import _support_point, _union_type
 
+from oracles import translate
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -191,7 +193,7 @@ def test_criterion_10_property_suite(capsys, running_polytope, running_matroid,
             )
             ft = fine_type(x, gens)
             assert ft.union() == frozenset(range(1, n + 1))
-            shifted = fine_type(x.translate(Fraction(7, 3)), gens)
+            shifted = fine_type(translate(x, Fraction(7, 3)), gens)
             assert shifted.entries == ft.entries
             assert ft.is_bounded() == all(ft.entries) == in_tconv(x, gens)
 

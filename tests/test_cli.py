@@ -146,15 +146,40 @@ class TestHappyPaths:
         assert first.endswith("; 16 probes, exterior description verified)")
         assert last == "all 1 checks passed"
 
-    @pytest.mark.parametrize("d", ["2", "3"])
-    def test_check_rank_one_compares_sets(self, capsys, d):
-        # the formula repeats types on the tropical simplex
+    @pytest.mark.parametrize("d, cells", [("2", 10), ("3", 29)])
+    def test_check_rank_one_compares_multisets(self, capsys, monkeypatch, d, cells):
+        # every two elements are parallel, and the closed forms still list
+        # each cell once: the formula one row per maximal cell, and
+        # bounded-cells the tropical simplex alone
+        import tropmat.cli as cli
+
+        ranks = []
+        original = cli.hypersimplex_coarse_types
+        monkeypatch.setattr(cli, "hypersimplex_coarse_types",
+                            lambda k, d: ranks.append(k) or original(k, d))
         code, out, _ = run(capsys, "check", "--uniform", "1", d)
         assert code == 0
         first, last = out.splitlines()
         assert first.startswith("input: ok (")
-        assert "rank one, compared as sets" in first and "MISMATCH" not in first
+        assert "1 bounded cells; f-vector" in first
+        assert f"OK: {cells} cells, formula == enumeration" in first
         assert last == "all 1 checks passed"
+        assert ranks == [1]
+        _, out, _ = run(capsys, "bounded-cells", "--uniform", "1", d)
+        assert out.startswith("1 maximal bounded cells\n")
+
+    def test_check_parallel_elements(self, capsys, tmp_path):
+        # U(2,3) with element 1 doubled
+        path = tmp_path / "bases.json"
+        path.write_text('{"ground_size": 4, "bases": [[1, 2], [1, 3], [2, 3], [2, 4], [3, 4]]}')
+        code, out, _ = run(capsys, "check", "--bases", str(path))
+        assert code == 0
+        first, last = out.splitlines()
+        assert first.startswith("input: ok (10 pseudovertices, 9 bounded cells;")
+        assert "OK: 32 cells, formula == enumeration" in first
+        assert last == "all 1 checks passed"
+        code, out, _ = run(capsys, "coarse-types", "--cross-validate", "--bases", str(path))
+        assert (code, out) == (0, "OK: 32 cells, formula == enumeration\n")
 
     def test_check_k4_runs_the_complex(self, capsys, k4_path):
         code, out, _ = run(capsys, "check", "--graph", k4_path)
@@ -281,6 +306,14 @@ class TestCheckCatchesFaults:
         monkeypatch.setattr(cli, "enumerate_all_cells", dropping)
         assert "Euler characteristic 2 != 1 on the bounded cells" in self.failed_check(capsys)
 
+    def test_closed_form_repeats_a_bounded_cell(self, capsys, monkeypatch):
+        # the same set of cells, one of them listed twice
+        import tropmat.cli as cli
+
+        original = cli.maximal_bounded_cells
+        monkeypatch.setattr(cli, "maximal_bounded_cells", lambda p: original(p) + original(p)[:1])
+        assert "maximal bounded cells disagree" in self.failed_check(capsys)
+
     def test_hypersimplex_table_changes_a_row(self, capsys, monkeypatch):
         import tropmat.cli as cli
 
@@ -325,21 +358,31 @@ class TestFailurePaths:
         )
         assert code == 1
 
-    def test_cross_validation_mismatch_exits_two(self, capsys):
-        # rank one falls outside the counting formula's assumptions
+    def test_cross_validation_mismatch_exits_two(self, capsys, monkeypatch):
+        import tropmat.cells as cells
+
+        original = cells.maximal_cell_coarse_types
+        monkeypatch.setattr(cells, "maximal_cell_coarse_types", lambda m: original(m)[1:])
         code, out, _ = run(
             capsys, "coarse-types", "--cross-validate", "--uniform", "1", "1"
         )
         assert code == 2
         assert out.startswith("MISMATCH")
 
-    def test_rank_one_report_json(self, capsys):
+    def test_rank_one_report_json(self, capsys, monkeypatch):
+        # a formula that lists its last row twice agrees with the
+        # enumeration as a set only
+        import tropmat.cells as cells
+
+        original = cells.maximal_cell_coarse_types
+        monkeypatch.setattr(cells, "maximal_cell_coarse_types",
+                            lambda m: original(m) + original(m)[-1:])
         code, out, _ = run(capsys, "coarse-types", "--cross-validate", "--format", "json",
                            "--uniform", "1", "2")
         assert code == 2
         assert out == (
-            '{"cell_count": 10, "formula_count": 15, "multiset_equal": false, "ok": false,'
-            ' "only_enumerated": [], "only_formula": [[[1, 1, 1], 5]], "set_equal": true}\n')
+            '{"cell_count": 10, "formula_count": 11, "multiset_equal": false, "ok": false,'
+            ' "only_enumerated": [], "only_formula": [[[1, 1, 1], 1]], "set_equal": true}\n')
 
     @pytest.mark.parametrize("doc", [
         '{"ground_size": "3", "bases": [[1, 2], [1, 3], [2, 3]]}',

@@ -25,6 +25,8 @@ from tropmat import (
 )
 from tropmat.matroids import MatroidError
 
+from oracles import translate
+
 
 # ---------------------------------------------------------------------------
 # oracles for the exact exterior check
@@ -74,9 +76,9 @@ def _pseudovertex_probes(generators):
         for i in range(n):
             delta = [0] * n
             delta[i] = 1
-            yield pv.point.translate(delta)
+            yield translate(pv.point, delta)
             delta[i] = -1
-            yield pv.point.translate(delta)
+            yield translate(pv.point, delta)
 
 
 def probe_counterexamples(system, gens, budget=20000):

@@ -17,7 +17,7 @@ from tropmat import (
 )
 from tropmat.polytopes import BoundedCell, _support_point, _union_type
 
-from oracles import valid_sequences
+from oracles import doubled, valid_sequences
 
 
 def interior_point(cell: BoundedCell) -> TropicalPoint:
@@ -97,6 +97,18 @@ class TestPseudovertices:
     def test_simplex_counts(self, d):
         p = build_polytope(uniform_matroid(1, d + 1))
         assert len(pseudovertices(p)) == 2 ** (d + 1) - 2
+
+    @pytest.mark.parametrize("k, n, doubles, count", [
+        (2, 4, (), 11), (3, 5, (), 16), (2, 3, (1,), 10), (2, 3, (1, 1), 22),
+        (2, 3, (1, 2), 24), (3, 4, (2,), 13), (1, 2, (), 2), (1, 3, (), 6), (1, 4, (), 14),
+    ])
+    def test_one_per_superset_of_a_basis(self, k, n, doubles, count):
+        # the dimension test drops only the ground set, and only at rank one
+        m = doubled(uniform_matroid(k, n), *doubles)
+        supersets = sum(1 for size in range(m.ground_size + 1)
+                        for j in combinations(m.ground(), size)
+                        if any(b <= set(j) for b in m.bases))
+        assert len(pseudovertices(build_polytope(m))) == supersets - (k == 1) == count
 
     def test_k4_count(self, k4_matroid):
         assert len(pseudovertices(build_polytope(k4_matroid))) == 38
